@@ -18,6 +18,11 @@ shorter word plus a quadratic correction.  Word independence of the result is
 guaranteed by the braid relations (Matsumoto), so any reduced word may drive
 the letter loop.
 
+The exact primitives are defined here once and shared with the tensor
+oracle: ``_acc`` (add a coefficient into a sparse key -> coefficient map),
+``split_inverse`` (T_i^-1 and B^-1 by the quadratic relations) and
+``reduce_row`` (one step of exact sparse row reduction over the rationals).
+
 The module also maintains a second, descriptor-indexed basis used by the
 relative traces: products m_1...m_n * (idempotents of I), where m_k is one of
 1, B_k = T_{k-1}..T_1 B T_1^-1..T_{k-1}^-1, or T_{k-1}..T_j optionally
@@ -232,7 +237,9 @@ class AlgebraElement:
         return cls(n, terms)
 
 
-def _acc(out: dict, key: BasisPair, c: LaurentPoly) -> None:
+def _acc(out: dict, key, c) -> None:
+    """Add the coefficient c (a LaurentPoly or a Fraction) into the sparse
+    map ``out`` at ``key``; zero entries are never stored."""
     acc = out.get(key)
     if acc is None:
         if c:
@@ -263,25 +270,26 @@ def tw_elem(n: int, w: Window) -> AlgebraElement:
     return AlgebraElement._raw(n, {(singletons(n), tuple(w)): ONE})
 
 
-def gen_elem(g: tuple, n: int, params: RingParams = SYMBOLIC) -> AlgebraElement:
-    """A generator as an element; inverses expand by the quadratic relations:
-    T_i^-1 = T_i - (u - u^-1) E_i and B^-1 = B - (v - v^-1) F_1."""
-    _check_gen(g, n)
+def split_inverse(g: tuple, params: RingParams) -> tuple:
+    """Expand an inverse generator by its quadratic relation:
+    T_i^-1 = T_i - (u - u^-1) E_i and B^-1 = B - (v - v^-1) F_1.
+
+    Returns (positive generator, tie coefficient); the tie is the one in the
+    positive generator's own quadratic correction (E_i for T_i, F_1 for B).
+    A positive generator comes back unchanged with coefficient None.
+    """
     kind = g[0]
-    if kind == "E":
-        i = g[1]
-        return ef_elem(join_set(singletons(n), (i, i + 1)))
-    if kind == "F":
-        return ef_elem(join_set(singletons(n), (0, g[1])))
-    if kind == "T":
-        return tw_elem(n, apply_letter(identity(n), ("s", g[1])))
-    if kind == "B":
-        return tw_elem(n, apply_letter(identity(n), R_LETTER))
     if kind == "T-":
-        i = g[1]
-        return gen_elem(("T", i), n) - gen_elem(("E", i), n).scaled(params.qu)
-    # kind == "B-"
-    return gen_elem(GEN_B, n) - gen_elem(("F", 1), n).scaled(params.qv)
+        return ("T", g[1]), -params.qu
+    if kind == "B-":
+        return GEN_B, -params.qv
+    return g, None
+
+
+def gen_elem(g: tuple, n: int, params: RingParams = SYMBOLIC) -> AlgebraElement:
+    """A generator as an element: the unit right-multiplied by it, so
+    inverses expand as in ``split_inverse``."""
+    return mul_gen(unit(n), g, params)
 
 
 def embed(e: AlgebraElement, n: int) -> AlgebraElement:
@@ -308,16 +316,13 @@ def mul_gen(e: AlgebraElement, g: tuple, params: RingParams = SYMBOLIC) -> Algeb
 
     Idempotents conjugate through each term's group part and join the
     partition; braid letters extend the group part, or split on a descent
-    into the shorter word plus the quadratic correction term.
+    into the shorter word plus the quadratic correction term.  An inverse
+    adds its tie term (``split_inverse``) in the same pass; that tie lands on
+    the key of the quadratic correction.
     """
     _check_gen(g, e.n)
+    g, tie = split_inverse(g, params)
     kind = g[0]
-    if kind == "T-":
-        i = g[1]
-        return mul_gen(e, ("T", i), params) - mul_gen(e, ("E", i), params).scaled(params.qu)
-    if kind == "B-":
-        return mul_gen(e, GEN_B, params) - mul_gen(e, ("F", 1), params).scaled(params.qv)
-
     out: dict[BasisPair, LaurentPoly] = {}
     if kind == "E":
         i = g[1]
@@ -331,20 +336,24 @@ def mul_gen(e: AlgebraElement, g: tuple, params: RingParams = SYMBOLIC) -> Algeb
         i = g[1]
         letter = ("s", i)
         for (I, w), c in e.terms.items():
-            w2 = apply_letter(w, letter)
-            if w[i - 1] > w[i]:  # descent: T_w T_i = T_{w2} + qu E.. T_w
-                _acc(out, (I, w2), c)
-                _acc(out, (join_set(I, (abs(w2[i - 1]), abs(w2[i]))), w), c * params.qu)
-            else:
-                _acc(out, (I, w2), c)
+            _acc(out, (I, apply_letter(w, letter)), c)
+            descent = w[i - 1] > w[i]
+            if descent or tie is not None:
+                key = (join_set(I, (abs(w[i - 1]), abs(w[i]))), w)
+                if descent:  # T_w T_i = T_{w s_i} + qu E.. T_w
+                    _acc(out, key, c * params.qu)
+                if tie is not None:
+                    _acc(out, key, c * tie)
     else:  # "B"
         for (I, w), c in e.terms.items():
-            w2 = apply_letter(w, R_LETTER)
-            if w[0] < 0:  # descent: T_w B = T_{w2} + qv F.. T_w
-                _acc(out, (I, w2), c)
-                _acc(out, (join_set(I, (0, abs(w2[0]))), w), c * params.qv)
-            else:
-                _acc(out, (I, w2), c)
+            _acc(out, (I, apply_letter(w, R_LETTER)), c)
+            descent = w[0] < 0
+            if descent or tie is not None:
+                key = (join_set(I, (0, abs(w[0]))), w)
+                if descent:  # T_w B = T_{w r} + qv F.. T_w
+                    _acc(out, key, c * params.qv)
+                if tie is not None:
+                    _acc(out, key, c * tie)
     return AlgebraElement._raw(e.n, out)
 
 
@@ -572,40 +581,43 @@ def express_in_C(e: AlgebraElement, params: RingParams = SYMBOLIC) -> dict:
     return get_cbasis(e.n, params).express(e)
 
 
+def reduce_row(row: dict, pivots: dict) -> int:
+    """Exact Gaussian step: reduce ``row`` (column -> nonzero rational)
+    against ``pivots``, each keyed by its smallest column; register what
+    remains as a new pivot and report 1, or report 0 if nothing remains."""
+    while row:
+        lead = min(row)
+        hit = pivots.get(lead)
+        if hit is None:
+            scale = row[lead]
+            pivots[lead] = {col: val / scale for col, val in row.items()}
+            return 1
+        factor = row[lead]
+        for col, val in hit.items():
+            _acc(row, col, -factor * val)
+    return 0
+
+
 def descriptor_rank(n: int, params: RingParams, point) -> int:
     """Rank of the descriptor-expansion matrix at a rational point, by sparse
     row reduction over exact rationals.
 
     Rows are the expansions of all descriptors with coefficients evaluated at
     ``point``; full rank certifies the change of basis is invertible there.
+    Columns are ordered longest group part first.
     """
-    pivots: dict[tuple, dict] = {}
-
     def col_key(pair: BasisPair):
         I, w = pair
         return (-length(w), I.parent, w)
 
+    pivots: dict[tuple, dict] = {}
     rank = 0
     cb = get_cbasis(n, params)
     for (ms, I) in descriptor_pairs(n):
         row = {
-            pair: value
+            col_key(pair): value
             for pair, c in cb.expansion(ms, I).terms.items()
             if (value := c.evaluate(point))
         }
-        while row:
-            lead = min(row, key=col_key)
-            hit = pivots.get(lead)
-            if hit is None:
-                scale = row[lead]
-                pivots[lead] = {pair: val / scale for pair, val in row.items()}
-                rank += 1
-                break
-            factor = row[lead]
-            for pair, val in hit.items():
-                acc = row.get(pair, Fraction(0)) - factor * val
-                if acc:
-                    row[pair] = acc
-                else:
-                    row.pop(pair, None)
+        rank += reduce_row(row, pivots)
     return rank

@@ -41,10 +41,6 @@ def identity(n: int) -> Window:
     return tuple(range(1, n + 1))
 
 
-def is_window(win: Sequence[int]) -> bool:
-    return sorted(abs(m) for m in win) == list(range(1, len(win) + 1))
-
-
 def gen_r(n: int) -> Window:
     assert n >= 1
     return (-1,) + tuple(range(2, n + 1))
@@ -193,7 +189,7 @@ def normal_form(w: Window) -> tuple:
         j = next(i for i in range(1, k + 1) if abs(current[i - 1]) == k)
         sign = 1 if current[j - 1] > 0 else -1
         blocks.append((k, j, sign))
-        current = w_mul(current, w_inv(_block_perm(k, j, sign, n)))
+        current = w_mul(current, w_inv(block_perm(k, j, sign, n)))
         assert current[k - 1 :] == tuple(range(k, n + 1))
     blocks.reverse()
     return tuple(blocks)
@@ -207,9 +203,6 @@ def block_perm(k: int, j: int, sign: int, n: int) -> Window:
     if sign > 0:
         return base
     return w_mul(base, r_k(n, j))
-
-
-_block_perm = block_perm
 
 
 def block_word(block: tuple) -> tuple:
@@ -258,7 +251,7 @@ def enumerate_group(n: int) -> Iterator[Window]:
             yield acc
             return
         for block in _block_range(k):
-            yield from rec(k + 1, w_mul(acc, _block_perm(*block, n)))
+            yield from rec(k + 1, w_mul(acc, block_perm(*block, n)))
 
     yield from rec(1, identity(n))
 

@@ -13,7 +13,6 @@ Conventions:
   ``({1,2})`` over {0,...,3} means blocks {1,2}, {0}, {3}.
 - ``join`` is the coarsest-common-refinement join: the smallest partition
   that both arguments refine.
-- ``supp`` is the union of the non-singleton blocks.
 
 >>> I = from_blocks(8, [[1, 4], [2, 5], [3, 6, 7]])
 >>> str(join_set(I, {4, 5, 8}))
@@ -67,21 +66,6 @@ class SetPartition0:
         for i, p in enumerate(self.parent):
             by_root.setdefault(p, []).append(i)
         return [tuple(by_root[root]) for root in sorted(by_root)]
-
-    def supp(self) -> frozenset[int]:
-        counts = [0] * (self.n + 1)
-        for p in self.parent:
-            counts[p] += 1
-        return frozenset(i for i, p in enumerate(self.parent) if counts[p] > 1)
-
-    def in_supp(self, k: int) -> bool:
-        p = self.parent[k]
-        if p != k:
-            return True
-        return any(q == k for i, q in enumerate(self.parent) if i != k)
-
-    def same_block(self, i: int, j: int) -> bool:
-        return self.parent[i] == self.parent[j]
 
     def __str__(self) -> str:
         nontrivial = [b for b in self.blocks() if len(b) > 1]

@@ -8,6 +8,7 @@ three-strand suites including the rank-720 independence certificate.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -181,7 +182,7 @@ def coxeter_suite(seed: int, n_bfs: int = 3) -> list[dict]:
             ok_nf &= len(word) == cox.length(wd)
             rw = cox.reduced_word(wd)
             ok_nf &= len(rw) == cox.length(wd) and cox.word_to_perm(n, rw) == wd
-        ok_count &= len(seen) == 2 ** n * _factorial(n)
+        ok_count &= len(seen) == 2 ** n * math.factorial(n)
     out.append(_rec("coxeter", "normal-form-roundtrip", ok_nf))
     out.append(_rec("coxeter", "group-census", ok_count))
 
@@ -389,7 +390,7 @@ def oracle_suite(n_max: int, pairs: int, seed: int, params: alg.RingParams = alg
 def dimension_suite(n_max: int = 3) -> list[dict]:
     out = []
     for n in range(1, n_max + 1):
-        expected = parts.bell_number(n + 1) * 2 ** n * _factorial(n)
+        expected = parts.bell_number(n + 1) * 2 ** n * math.factorial(n)
         count = sum(1 for _ in alg.basis_pairs(n))
         out.append(_rec("dimension", f"basis-census[n={n}]", count == expected, f"{count} vs {expected}"))
     return out
@@ -607,10 +608,3 @@ def run_selfcheck(level: str = "quick", seed: int = DEFAULT_SEED) -> dict:
         "failures": len(failures),
         "records": records,
     }
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out

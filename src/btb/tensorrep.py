@@ -15,7 +15,9 @@ Local rules, acting on one or two tensor factors and extended linearly:
   the right at equal ranks.
 
 Vectors are sparse maps from multi-indices to coefficients; operators are
-never materialized as matrices.
+never materialized as matrices.  The sparse accumulate, the expansion of the
+inverse generators and the exact row reduction of the independence
+certificate are the ones defined in ``algebra``.
 """
 
 from __future__ import annotations
@@ -24,13 +26,16 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .coeff import ONE, LaurentPoly
-from .coxeter import R_LETTER, Window, reduced_word
+from .coxeter import R_LETTER, Window, enumerate_group, reduced_word
 from .partitions import SetPartition0, enumerate_partitions, refines
 from .algebra import (
     AlgebraElement,
     RingParams,
     SYMBOLIC,
+    _acc,
     _check_gen,
+    reduce_row as _reduce_row,
+    split_inverse,
 )
 
 MultiIndex = tuple  # tuple of (i, r) pairs, one per tensor factor
@@ -79,12 +84,6 @@ class TensorVector:
             _acc(out, idx, c)
         return TensorVector._raw(self.n, out, self.d)
 
-    def __sub__(self, other: "TensorVector") -> "TensorVector":
-        out = dict(self.entries)
-        for idx, c in other.entries.items():
-            _acc(out, idx, -c)
-        return TensorVector._raw(self.n, out, self.d)
-
     def scaled(self, c: LaurentPoly) -> "TensorVector":
         if not c:
             return TensorVector._raw(self.n, {}, self.d)
@@ -94,19 +93,6 @@ class TensorVector:
 
     def __repr__(self) -> str:
         return f"<TensorVector n={self.n} with {len(self.entries)} entries>"
-
-
-def _acc(out: dict, idx: MultiIndex, c: LaurentPoly) -> None:
-    acc = out.get(idx)
-    if acc is None:
-        if c:
-            out[idx] = c
-    else:
-        acc = acc + c
-        if acc:
-            out[idx] = acc
-        else:
-            del out[idx]
 
 
 def basis_vector(n: int, idx: Iterable, d: int | None = None) -> TensorVector:
@@ -142,13 +128,11 @@ def random_multi_index(rng, n: int, d: int | None = None) -> MultiIndex:
 # -- generator actions ---------------------------------------------------------
 
 def apply_gen(vec: TensorVector, g: tuple, params: RingParams = SYMBOLIC) -> TensorVector:
+    """Right action of one generator; an inverse adds its tie term
+    (``algebra.split_inverse``) in the same pass."""
     _check_gen(g, vec.n)
+    g, tie = split_inverse(g, params)
     kind = g[0]
-    if kind == "T-":
-        return apply_gen(vec, ("T", g[1]), params) - apply_gen(vec, ("E", g[1]), params).scaled(params.qu)
-    if kind == "B-":
-        return apply_gen(vec, ("B",), params) - apply_gen(vec, ("F", 1), params).scaled(params.qv)
-
     out: dict[MultiIndex, LaurentPoly] = {}
     if kind == "E":
         i = g[1]
@@ -168,22 +152,24 @@ def apply_gen(vec: TensorVector, g: tuple, params: RingParams = SYMBOLIC) -> Ten
             swapped = idx[: i - 1] + (idx[i], idx[i - 1]) + idx[i + 1 :]
             if r != s:
                 _acc(out, swapped, c)
-            elif a == b:
+                continue
+            if a == b:
                 _acc(out, idx, c * params.tu)
-            elif a < b:
-                _acc(out, swapped, c)
             else:
                 _acc(out, swapped, c)
+            if a > b:
                 _acc(out, idx, c * params.qu)
+            if tie is not None:  # E_i fixes equal ranks
+                _acc(out, idx, c * tie)
     else:  # "B"
         for idx, c in vec.entries.items():
             a, r = idx[0]
-            flipped = ((-a, r),) + idx[1:]
-            if r == 0 and a < 0:
-                _acc(out, flipped, c)
-                _acc(out, idx, c * params.qv)
-            else:
-                _acc(out, flipped, c)
+            _acc(out, ((-a, r),) + idx[1:], c)
+            if r == 0:
+                if a < 0:
+                    _acc(out, idx, c * params.qv)
+                if tie is not None:  # F_1 fixes rank 0
+                    _acc(out, idx, c * tie)
     return TensorVector._raw(vec.n, out, vec.d)
 
 
@@ -424,33 +410,18 @@ def independence_certificate(
         key=lambda I: (-len(set(I.parent)), I.parent),
     )
     part_index = {I: t for t, I in enumerate(parts)}
-    group = list(_group_elements(n))
+    group = list(enumerate_group(n))
+    vectors = {I: partition_vector(I, d=d_eff) for I in parts}
 
     # image of the group part on each partition vector, once
     images: dict[tuple, TensorVector] = {}
     for I in parts:
-        vec = partition_vector(I, d=d_eff)
         for w in group:
-            img = apply_word(vec, w)
+            img = apply_word(vectors[I], w)
             if check_purity and d_eff == n + 1:
                 assert list(img.entries.values()) == [ONE], "group image is not pure"
                 assert next(iter(img.entries)) == predicted_word_image(I, w, d_eff)
             images[(part_index[I], w)] = img
-
-    # whether the idempotents of J fix the pure tensor attached to I; with the
-    # genuine d this is exactly "J refines I", smaller d keeps more pairs alive
-    def fixes(J: SetPartition0, I: SetPartition0) -> bool:
-        ranks = block_ranks(I, d_eff)
-        seen: dict[int, int] = {}
-        for t in range(1, n + 1):
-            root = J.parent[t]
-            r = ranks[t - 1]
-            if root == 0:
-                if r != 0:
-                    return False
-            elif seen.setdefault(root, r) != r:
-                return False
-        return True
 
     expected = len(parts) * len(group)
     ranks = []
@@ -459,7 +430,9 @@ def independence_certificate(
         pivots: dict[tuple, dict] = {}
         rank = 0
         for J in parts:
-            touched = [I for I in parts if fixes(J, I)]
+            # the I whose pure tensor the idempotents of J fix; with the genuine
+            # d this is exactly "J refines I", smaller d keeps more pairs alive
+            touched = [I for I in parts if ef_filter(vectors[I], J)]
             if d_eff == n + 1:
                 assert all(refines(J, I) for I in touched)
             for w in group:
@@ -467,9 +440,7 @@ def independence_certificate(
                 for I in touched:
                     t = part_index[I]
                     for idx, c in images[(t, w)].entries.items():
-                        val = c.evaluate(point6)
-                        if val:
-                            row[(t, idx)] = row.get((t, idx), Fraction(0)) + val
+                        _acc(row, (t, idx), c.evaluate(point6))
                 rank += _reduce_row(row, pivots)
         ranks.append(rank)
 
@@ -481,29 +452,3 @@ def independence_certificate(
         "ranks": ranks,
         "full_rank": all(r == expected for r in ranks),
     }
-
-
-def _group_elements(n: int):
-    from .coxeter import enumerate_group
-
-    return enumerate_group(n)
-
-
-def _reduce_row(row: dict, pivots: dict) -> int:
-    """Gaussian step: reduce ``row`` against ``pivots``; register and report 1
-    if something nonzero remains."""
-    while row:
-        lead = min(row)
-        hit = pivots.get(lead)
-        if hit is None:
-            scale = row[lead]
-            pivots[lead] = {col: val / scale for col, val in row.items()}
-            return 1
-        factor = row[lead]
-        for col, val in hit.items():
-            acc = row.get(col, Fraction(0)) - factor * val
-            if acc:
-                row[col] = acc
-            else:
-                row.pop(col, None)
-    return 0

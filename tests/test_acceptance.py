@@ -7,6 +7,7 @@ with the argument in its docstring, and the identity that actually holds is
 asserted in its place inside the main criterion-6 test.
 """
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -38,7 +39,7 @@ def test_criterion_1_dimension_census():
     t0 = time.time()
     expected = {1: 4, 2: 40, 3: 720}
     counts = {n: sum(1 for _ in alg.basis_pairs(n)) for n in (1, 2, 3)}
-    formulas = {n: P.bell_number(n + 1) * 2 ** n * _fact(n) for n in (1, 2, 3)}
+    formulas = {n: P.bell_number(n + 1) * 2 ** n * math.factorial(n) for n in (1, 2, 3)}
     ok = counts == expected == formulas
     _report(1, "dimension-census", ok, time.time() - t0, 10, f"{counts}")
 
@@ -188,10 +189,3 @@ def test_criterion_9_partition_bijection():
     bad = [r["name"] for r in records if r["status"] != "ok"]
     ok &= not bad
     _report(9, "partition-bijection", ok, time.time() - t0, 30, ",".join(bad))
-
-
-def _fact(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out

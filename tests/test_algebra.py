@@ -1,5 +1,6 @@
 """Algebra kernel: generators, the six-case product, both bases, coordinates."""
 
+import math
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from btb import algebra as alg
 from btb import coxeter as cox
 from btb import partitions as P
 from btb import tensorrep as rep
-from btb.coeff import ONE, random_point
+from btb.coeff import ONE, random_point, var
 
 QU = alg.SYMBOLIC.qu
 QV = alg.SYMBOLIC.qv
@@ -45,6 +46,61 @@ def test_inverse_generator_elements():
     assert b_inv == expected
     assert alg.mul(alg.gen_elem(("T", 1), 2), t1_inv) == alg.unit(2)
     assert alg.mul(alg.gen_elem(alg.GEN_B, 1), b_inv) == alg.unit(1)
+
+
+def _inverse_gens(n):
+    return [("T-", i) for i in range(1, n)] + [alg.GEN_B_INV]
+
+
+def _on_descent(w, g):
+    """w changed so that it has a right descent at the positive generator of g."""
+    w = list(w)
+    if g[0] == "B-":
+        w[0] = -abs(w[0])
+    else:
+        i = g[1]
+        if w[i - 1] < w[i]:
+            w[i - 1], w[i] = w[i], w[i - 1]
+    return tuple(w)
+
+
+def test_single_pass_inverses_match_product():
+    rng = random.Random(14)
+    coeffs = [ONE, QU, QV, -ONE, QU * QV, var("u", -1) + var("x")]
+    for n in (1, 2, 3):
+        for g in _inverse_gens(n):
+            # the unit times g, against the quadratic relation written out
+            pos = ("T", g[1]) if g[0] == "T-" else alg.GEN_B
+            tie = ("E", g[1]) if g[0] == "T-" else ("F", 1)
+            q = QU if g[0] == "T-" else QV
+            assert alg.gen_elem(g, n) == \
+                alg.gen_elem(pos, n) - alg.gen_elem(tie, n).scaled(q)
+            for _ in range(15):
+                terms = {}
+                for _ in range(rng.randint(2, 5)):
+                    w = cox.random_signed_perm(rng, n)
+                    if rng.random() < 0.5:
+                        w = _on_descent(w, g)
+                    terms[(P.random_partition(rng, n), w)] = rng.choice(coeffs)
+                e = alg.AlgebraElement(n, terms)
+                assert alg.mul_gen(e, g) == alg.mul(e, alg.gen_elem(g, n)), (n, g)
+            # on a descent the correction and the tie cancel: T_w T_i^-1 = T_{w s_i}
+            I = P.random_partition(rng, n)
+            w = _on_descent(cox.random_signed_perm(rng, n), g)
+            letter = ("s", g[1]) if g[0] == "T-" else cox.R_LETTER
+            got = alg.mul_gen(alg.AlgebraElement(n, {(I, w): QV}), g)
+            assert got == alg.AlgebraElement(n, {(I, cox.apply_letter(w, letter)): QV})
+
+
+def test_single_pass_inverses_match_tensor_action():
+    rng = random.Random(15)
+    for n in (1, 2, 3):
+        for g in _inverse_gens(n):
+            elem = alg.gen_elem(g, n)
+            for _ in range(20):
+                vec = rep.basis_vector(n, rep.random_multi_index(rng, n))
+                vec = vec + rep.basis_vector(n, rep.random_multi_index(rng, n)).scaled(QU)
+                assert rep.apply_gen(vec, g) == rep.apply_elem(vec, elem), (n, g)
 
 
 def test_gen_index_validation():
@@ -193,7 +249,7 @@ def test_express_roundtrip_randomized():
 def test_descriptor_count_matches_dimension():
     for n in (1, 2):
         assert sum(1 for _ in alg.descriptor_pairs(n)) == \
-            P.bell_number(n + 1) * 2 ** n * _fact(n)
+            P.bell_number(n + 1) * 2 ** n * math.factorial(n)
 
 
 def test_basis_c_surface():
@@ -216,7 +272,7 @@ def test_descriptor_matrix_full_rank_at_random_point():
             pt = random_point(rng)
             if all(pt):
                 break
-        expected = P.bell_number(n + 1) * 2 ** n * _fact(n)
+        expected = P.bell_number(n + 1) * 2 ** n * math.factorial(n)
         assert alg.descriptor_rank(n, alg.SYMBOLIC, pt) == expected
 
 
@@ -235,10 +291,3 @@ def test_element_json_roundtrip():
     for n in (1, 2, 3):
         e = rand_basis_elem(rng, n) + rand_basis_elem(rng, n).scaled(QU)
         assert alg.AlgebraElement.from_obj(e.to_obj()) == e
-
-
-def _fact(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out

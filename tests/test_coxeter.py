@@ -1,5 +1,6 @@
 """Signed permutations: length vs graph distance, normal form, braid words."""
 
+import math
 import random
 
 import pytest
@@ -59,7 +60,7 @@ def test_length_examples():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_length_and_descents_match_bfs(n):
     dist = bfs_distances(n)
-    assert len(dist) == 2 ** n * _fact(n)
+    assert len(dist) == 2 ** n * math.factorial(n)
     gens = [cox.R_LETTER] + [("s", i) for i in range(1, n)]
     for w, d in dist.items():
         assert cox.length(w) == d
@@ -92,7 +93,7 @@ def test_normal_form_roundtrip(n):
         reduced = cox.reduced_word(w)
         assert len(reduced) == cox.length(w)
         assert cox.word_to_perm(n, reduced) == w
-    assert len(seen) == 2 ** n * _fact(n)
+    assert len(seen) == 2 ** n * math.factorial(n)
 
 
 def test_eta_examples():
@@ -139,10 +140,3 @@ def test_exponent_sum_examples():
     assert cox.exponent_sum(cox.parse_braid_word("", 2)) == 0
     assert cox.exponent_sum(cox.parse_braid_word("s1 s1 s2'", 3)) == 1
     assert cox.exponent_sum(cox.parse_braid_word("r s1 r'", 2)) == 1
-
-
-def _fact(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
