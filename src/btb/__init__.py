@@ -17,7 +17,7 @@ from .partitions import SetPartition0
 from .coxeter import BraidWordB, parse_braid_word, exponent_sum
 from .algebra import AlgebraElement, RingParams, SYMBOLIC, specialized_params
 from .trace import markov_trace, theta
-from .invariant import InvariantValue, delta_b, invariant_eq, pi_natural
+from .invariant import InvariantValue, delta_b, invariant_eq, pi_natural, word_trace
 
 __all__ = [
     "LaurentPoly", "parse_poly", "var",
@@ -25,5 +25,5 @@ __all__ = [
     "BraidWordB", "parse_braid_word", "exponent_sum",
     "AlgebraElement", "RingParams", "SYMBOLIC", "specialized_params",
     "markov_trace", "theta",
-    "InvariantValue", "delta_b", "invariant_eq", "pi_natural",
+    "InvariantValue", "delta_b", "invariant_eq", "pi_natural", "word_trace",
 ]

@@ -106,22 +106,6 @@ def specialized_params(u0, v0) -> RingParams:
 
 # -- generators ----------------------------------------------------------------
 
-def gen_T(i: int) -> tuple:
-    return ("T", i)
-
-
-def gen_T_inv(i: int) -> tuple:
-    return ("T-", i)
-
-
-def gen_E(i: int) -> tuple:
-    return ("E", i)
-
-
-def gen_F(j: int) -> tuple:
-    return ("F", j)
-
-
 GEN_B = ("B",)
 GEN_B_INV = ("B-",)
 
@@ -547,11 +531,18 @@ _CBASIS_CACHE: dict[tuple, CBasis] = {}
 
 
 def get_cbasis(n: int, params: RingParams = SYMBOLIC) -> CBasis:
+    """The shared expansion cache for n strands, keyed by ``params.key``.
+
+    Raises ValueError when the key is already bound to other constants, so
+    that two parameter choices never share one cache.
+    """
     key = (n, params.key)
     cached = _CBASIS_CACHE.get(key)
     if cached is None:
         cached = CBasis(n, params)
         _CBASIS_CACHE[key] = cached
+    elif cached.params is not params and cached.params != params:
+        raise ValueError(f"parameter key {params.key!r} is already bound to other constants")
     return cached
 
 

@@ -26,8 +26,7 @@ import sys
 from .coxeter import parse_braid_word
 from .partitions import bell_number
 from .algebra import basis_pairs
-from .trace import markov_trace
-from .invariant import delta_b, invariant_eq, pi_natural
+from .invariant import delta_b, invariant_eq, word_trace
 from .selfcheck import DEFAULT_SEED, run_selfcheck
 
 
@@ -95,7 +94,7 @@ def _cmd_invariant(args) -> int:
 
 def _cmd_trace(args) -> int:
     word = parse_braid_word(args.word, args.strands)
-    value = markov_trace(pi_natural(word))
+    value = word_trace(word)
     if args.format == "json":
         print(json.dumps(value.to_obj(), sort_keys=True))
     else:

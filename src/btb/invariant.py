@@ -18,13 +18,24 @@ Powers of z shared between numer and the denominator are cancelled (z is a
 monomial, no gcd machinery); no cancellation is attempted against the L
 factor, so equality is decided by cross-multiplication, never by normal
 forms.
+
+The trace of a word is computed on the smallest braid that carries it
+(``word_trace``).  Strands above the highest one a letter touches are
+dropped, since adding an unused strand leaves the trace unchanged.  When
+exactly one letter s_{m-1}^(+-1) touches the top strand m, the word is
+rotated to end with it (tr(ab) = tr(ba)), and the letter and the strand are
+dropped by the Markov property tr(a T_{m-1}) = z tr(a), or, for the inverse,
+tr(a T_{m-1}^-1) = (z - (u - u^-1) x) tr(a) from the tie rule
+tr(a E_{m-1}) = x tr(a).  The two steps repeat until neither applies; the
+rest goes through ``pi_natural`` and ``markov_trace``.  The normalization
+still uses the original strand count and exponent sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeff import LaurentPoly, ZERO, var
+from .coeff import LaurentPoly, ONE, ZERO, var
 from .coxeter import BraidWordB, exponent_sum
 from .algebra import (
     AlgebraElement,
@@ -35,7 +46,7 @@ from .algebra import (
     mul_gen,
     unit,
 )
-from .trace import markov_trace
+from .trace import X, Z, markov_trace
 
 L_NUMER = var("z") - (var("u") - var("u", -1)) * var("x")
 """The numerator of the rescaling constant L; its denominator is z."""
@@ -51,6 +62,26 @@ def pi_natural(word: BraidWordB, params: RingParams = SYMBOLIC) -> AlgebraElemen
             g = ("T", letter[1]) if letter[2] > 0 else ("T-", letter[1])
         e = mul_gen(e, g, params)
     return e
+
+
+def word_trace(word: BraidWordB, params: RingParams = SYMBOLIC) -> LaurentPoly:
+    """The Markov trace of a word's algebra image, on the fewest strands.
+
+    Equals ``markov_trace(pi_natural(word, params), params)``; unused top
+    strands are trimmed and single top crossings destabilized first (see the
+    module docstring).
+    """
+    letters = word.letters
+    factor = ONE
+    while True:
+        n = max((letter[1] + 1 for letter in letters if letter[0] == "s"), default=1)
+        top = [i for i, letter in enumerate(letters) if letter[0] == "s" and letter[1] == n - 1]
+        if len(top) != 1:
+            break
+        i = top[0]
+        factor = factor * (Z if letters[i][2] > 0 else Z - params.qu * X)
+        letters = letters[i + 1:] + letters[:i]
+    return markov_trace(pi_natural(BraidWordB(n, letters), params), params) * factor
 
 
 @dataclass(frozen=True)
@@ -120,7 +151,7 @@ def delta_b(word: BraidWordB, params: RingParams = SYMBOLIC) -> InvariantValue:
     fraction and only the parity of e - n + 1 survives as the formal s.
     """
     n = word.n
-    trace = markov_trace(pi_natural(word, params), params)
+    trace = word_trace(word, params)
     e = exponent_sum(word)
     m = e - (n - 1)
     parity = m % 2

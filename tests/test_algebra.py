@@ -9,7 +9,7 @@ from btb import algebra as alg
 from btb import coxeter as cox
 from btb import partitions as P
 from btb import tensorrep as rep
-from btb.coeff import ONE, random_point, var
+from btb.coeff import ONE, const, random_point, var
 
 QU = alg.SYMBOLIC.qu
 QV = alg.SYMBOLIC.qv
@@ -229,6 +229,17 @@ def test_express_examples():
     assert coords == {(((1, 1), (2, 1)), P.singletons(2)): ONE}
     coords = cb2.express(alg.gen_elem(("T", 1), 2))
     assert coords == {(((1, 1), (1, 1)), P.singletons(2)): ONE}
+
+
+def test_cbasis_cache_rejects_aliased_params():
+    symbolic = alg.get_cbasis(2)
+    fake = alg.RingParams("symbolic", qu=const(3), qv=const(5), tu=const(2))
+    with pytest.raises(ValueError):
+        alg.get_cbasis(2, fake)
+    assert alg.get_cbasis(2, alg.SYMBOLIC) is symbolic
+    # equal constants under one key share the cache
+    p1, p2 = alg.specialized_params(2, 3), alg.specialized_params(2, 3)
+    assert p1 is not p2 and alg.get_cbasis(2, p1) is alg.get_cbasis(2, p2)
 
 
 def test_express_roundtrip_randomized():

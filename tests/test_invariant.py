@@ -5,11 +5,16 @@ import random
 from btb import algebra as alg
 from btb import coxeter as cox
 from btb import invariant as inv
+from btb.cli import main
 from btb.coeff import ONE, ZERO, var
+from btb.trace import markov_trace
 
+QU = alg.SYMBOLIC.qu
 QV = alg.SYMBOLIC.qv
 W = var("w")
+X = var("x")
 Y = var("y")
+Z = var("z")
 
 
 def word(text, n):
@@ -119,3 +124,36 @@ def test_json_shape():
     obj = inv.delta_b(word("r", 1)).to_obj()
     assert set(obj) == {"s_parity", "numer", "z_pow", "L_pow", "pretty"}
     assert obj["pretty"] == "y"
+
+
+def test_word_trace_matches_full_trace_randomized():
+    rng = random.Random(42)
+    for params in (alg.SYMBOLIC, alg.specialized_params(2, 3)):
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            w = random_word(rng, n, rng.randint(0, 7))
+            w = cox.BraidWordB(n + rng.randint(0, 2), w.letters)
+            assert inv.word_trace(w, params) == markov_trace(inv.pi_natural(w, params), params)
+
+
+def test_word_trace_destabilizes_repeatedly():
+    assert inv.word_trace(word("s1 s2 s3", 4)) == Z ** 3
+    assert inv.word_trace(word("s1' s2' s3'", 4)) == (Z - QU * X) ** 3
+    # the top crossing sits in the middle: the word is rotated first
+    assert inv.word_trace(word("s1 s2' r s1", 3)) == (Z - QU * X) * inv.word_trace(word("r s1 s1", 2))
+
+
+def test_word_trace_loop_only_and_padded():
+    assert inv.word_trace(word("r r", 1)) == ONE + QV * W
+    assert inv.word_trace(word("r r", 4)) == ONE + QV * W
+    assert inv.word_trace(word("r r' r", 3)) == Y
+    padded = word("r s1 r s1", 5)
+    assert inv.word_trace(padded) == markov_trace(inv.pi_natural(padded))
+    assert inv.word_trace(padded) == inv.word_trace(word("r s1 r s1", 2))
+
+
+def test_wide_closure_cli_exits_0(capsys):
+    code = main(["invariant", "--strands", "1100", "--word", "s1"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out == "1 / (z^549 (z - (u - u^-1) x)^549)\n"
