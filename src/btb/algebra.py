@@ -20,8 +20,11 @@ the letter loop.
 
 The exact primitives are defined here once and shared with the tensor
 oracle: ``_acc`` (add a coefficient into a sparse key -> coefficient map),
-``split_inverse`` (T_i^-1 and B^-1 by the quadratic relations) and
-``reduce_row`` (one step of exact sparse row reduction over the rationals).
+``SparseVector`` (the linear combination behind both algebra elements and
+tensor vectors, whose ``sum_of`` accumulates every sum of scaled terms into
+one map through ``_acc``), ``split_inverse`` (T_i^-1 and B^-1 by the
+quadratic relations) and ``reduce_row`` (one step of exact sparse row
+reduction over the rationals).
 
 The module also maintains a second, descriptor-indexed basis used by the
 relative traces: products m_1...m_n * (idempotents of I), where m_k is one of
@@ -39,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .coeff import ONE, LaurentPoly, var
+from .coeff import ONE, LaurentPoly, const, var
 from .coxeter import (
     R_LETTER,
     Window,
@@ -94,8 +97,6 @@ def specialized_params(u0, v0) -> RingParams:
     u0, v0 = Fraction(u0), Fraction(v0)
     if not u0 or not v0:
         raise ValueError("u and v must be specialized to nonzero values")
-    from .coeff import const
-
     return RingParams(
         f"u={u0};v={v0}",
         qu=const(u0 - 1 / u0),
@@ -127,11 +128,72 @@ def _check_gen(g: tuple, n: int) -> None:
 
 # -- elements -------------------------------------------------------------------
 
-class AlgebraElement:
-    """A linear combination of basis pairs with Laurent-polynomial
-    coefficients.  Immutable by convention; no zero coefficients stored."""
+def _acc(out: dict, key, c) -> None:
+    """Add the coefficient c (a LaurentPoly or a Fraction) into the sparse
+    map ``out`` at ``key``; zero entries are never stored."""
+    acc = out.get(key)
+    if acc is None:
+        if c:
+            out[key] = c
+    else:
+        acc = acc + c
+        if acc:
+            out[key] = acc
+        else:
+            del out[key]
+
+
+class SparseVector:
+    """A finite linear combination over n strands: a sparse map from keys to
+    nonzero Laurent-polynomial coefficients.  Immutable by convention."""
 
     __slots__ = ("n", "terms")
+
+    @classmethod
+    def _raw(cls, n: int, terms: dict):
+        e = object.__new__(cls)
+        e.n = n
+        e.terms = terms
+        return e
+
+    @classmethod
+    def sum_of(cls, n: int, pieces: Iterable[tuple]):
+        """The sum of c * e over the (e, c) pairs of ``pieces``, accumulated
+        into one dict; a factor that is the object ``ONE`` is not multiplied
+        out."""
+        out: dict = {}
+        for e, c in pieces:
+            if e.n != n:
+                raise ValueError("elements live over different strand counts")
+            for key, q in e.terms.items():
+                _acc(out, key, q if c is ONE else q * c)
+        return cls._raw(n, out)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.n == other.n and self.terms == other.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __add__(self, other):
+        return self.sum_of(self.n, ((self, ONE), (other, ONE)))
+
+    def __sub__(self, other):
+        return self.sum_of(self.n, ((self, ONE), (other, -ONE)))
+
+    def scaled(self, c: LaurentPoly):
+        if isinstance(c, (int, Fraction)):
+            c = const(c)
+        return self.sum_of(self.n, ((self, c),))
+
+
+class AlgebraElement(SparseVector):
+    """A linear combination of basis pairs with Laurent-polynomial
+    coefficients; no zero coefficients stored."""
+
+    __slots__ = ()
 
     def __init__(self, n: int, terms: dict | None = None):
         cleaned: dict[BasisPair, LaurentPoly] = {}
@@ -143,48 +205,6 @@ class AlgebraElement:
                     cleaned[(I, tuple(w))] = c
         self.n = n
         self.terms = cleaned
-
-    @classmethod
-    def _raw(cls, n: int, terms: dict) -> "AlgebraElement":
-        e = object.__new__(cls)
-        e.n = n
-        e.terms = terms
-        return e
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if self.n != other.n:
-            raise ValueError("elements live over different strand counts")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _acc(out, key, c)
-        return AlgebraElement._raw(self.n, out)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if self.n != other.n:
-            raise ValueError("elements live over different strand counts")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _acc(out, key, -c)
-        return AlgebraElement._raw(self.n, out)
-
-    def scaled(self, c: LaurentPoly) -> "AlgebraElement":
-        if isinstance(c, (int, Fraction)):
-            from .coeff import const
-
-            c = const(c)
-        if not c:
-            return AlgebraElement._raw(self.n, {})
-        return AlgebraElement._raw(
-            self.n, {key: coeff * c for key, coeff in self.terms.items()}
-        )
 
     def sorted_terms(self) -> list:
         return sorted(self.terms.items(), key=lambda kv: (kv[0][0].parent, kv[0][1]))
@@ -219,21 +239,6 @@ class AlgebraElement:
             c = LaurentPoly.from_obj(entry["coeff"])
             _acc(terms, (I, w), c)
         return cls(n, terms)
-
-
-def _acc(out: dict, key, c) -> None:
-    """Add the coefficient c (a LaurentPoly or a Fraction) into the sparse
-    map ``out`` at ``key``; zero entries are never stored."""
-    acc = out.get(key)
-    if acc is None:
-        if c:
-            out[key] = c
-    else:
-        acc = acc + c
-        if acc:
-            out[key] = acc
-        else:
-            del out[key]
 
 
 def zero(n: int) -> AlgebraElement:
@@ -364,7 +369,7 @@ def mul(a: AlgebraElement, b: AlgebraElement, params: RingParams = SYMBOLIC) -> 
         tmp: dict[BasisPair, LaurentPoly] = {}
         for (I, w), c in a.terms.items():
             K = join(I, apply_perm(eta(w), J))
-            _acc(tmp, (K, w), c * q)
+            _acc(tmp, (K, w), c if q is ONE else c * q)
         cur = AlgebraElement._raw(n, tmp)
         for letter in reduced_word(v):
             g = GEN_B if letter == R_LETTER else ("T", letter[1])
@@ -389,12 +394,6 @@ def basis_pairs(n: int) -> Iterator[BasisPair]:
         for w in enumerate_group(n):
             yield (I, w)
 
-
-def basis_B(n: int) -> list[AlgebraElement]:
-    """All basis elements as single-term elements."""
-    return [
-        AlgebraElement._raw(n, {pair: ONE}) for pair in basis_pairs(n)
-    ]
 
 
 # -- the descriptor basis driving the traces ----------------------------------------
@@ -486,11 +485,7 @@ class CBasis:
         key = (ms, I)
         cached = self._expansion.get(key)
         if cached is None:
-            prefix = self.prefix(ms)
-            out: dict[BasisPair, LaurentPoly] = {}
-            for (K, w), c in prefix.terms.items():
-                _acc(out, (join(K, apply_perm(eta(w), I)), w), c)
-            cached = AlgebraElement._raw(self.n, out)
+            cached = mul(self.prefix(ms), ef_elem(I), self.params)
             self._expansion[key] = cached
         return cached
 
@@ -559,17 +554,6 @@ def descriptor_pairs(n: int) -> Iterator[tuple]:
     for ms in words(n):
         for I in enumerate_partitions(n):
             yield (ms, I)
-
-
-def basis_C(n: int, params: RingParams = SYMBOLIC) -> list:
-    """The descriptor basis, each paired with its normal-form expansion."""
-    cb = get_cbasis(n, params)
-    return [((ms, I), cb.expansion(ms, I)) for (ms, I) in descriptor_pairs(n)]
-
-
-def express_in_C(e: AlgebraElement, params: RingParams = SYMBOLIC) -> dict:
-    """Exact coordinates of an element in the descriptor basis."""
-    return get_cbasis(e.n, params).express(e)
 
 
 def reduce_row(row: dict, pivots: dict) -> int:

@@ -87,10 +87,6 @@ class LaurentPoly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly._raw({e: -c for e, c in self.terms.items()})
 

@@ -26,9 +26,19 @@ exactly one letter s_{m-1}^(+-1) touches the top strand m, the word is
 rotated to end with it (tr(ab) = tr(ba)), and the letter and the strand are
 dropped by the Markov property tr(a T_{m-1}) = z tr(a), or, for the inverse,
 tr(a T_{m-1}^-1) = (z - (u - u^-1) x) tr(a) from the tie rule
-tr(a E_{m-1}) = x tr(a).  The two steps repeat until neither applies; the
-rest goes through ``pi_natural`` and ``markov_trace``.  The normalization
-still uses the original strand count and exponent sum.
+tr(a E_{m-1}) = x tr(a).  When neither applies, a word with no loop letter
+whose lowest crossing is s_k, k > 1, has every index lowered by k - 1: with
+delta = T_1 ... T_{m-1}, the braid relations give delta T_i delta^-1 =
+T_{i+1}, so the shifted word is conjugate to the original one and has the
+same trace.  The steps repeat until none applies; the rest goes through
+``pi_natural`` and ``markov_trace``.  The normalization still uses the
+original strand count and exponent sum.
+
+``delta_b`` always computes with the symbolic ``u, v``: its normalization
+constant L is the symbolic one, so a value traced at specialized ``u, v`` and
+normalized with it would not be an invariant (for instance a negative
+stabilization of the unknot would change its value).  ``word_trace`` and
+``markov_trace`` keep their ``params``.
 """
 
 from __future__ import annotations
@@ -68,19 +78,23 @@ def word_trace(word: BraidWordB, params: RingParams = SYMBOLIC) -> LaurentPoly:
     """The Markov trace of a word's algebra image, on the fewest strands.
 
     Equals ``markov_trace(pi_natural(word, params), params)``; unused top
-    strands are trimmed and single top crossings destabilized first (see the
-    module docstring).
+    strands are trimmed, single top crossings destabilized and loop-free
+    words shifted down first (see the module docstring).
     """
     letters = word.letters
     factor = ONE
     while True:
         n = max((letter[1] + 1 for letter in letters if letter[0] == "s"), default=1)
         top = [i for i, letter in enumerate(letters) if letter[0] == "s" and letter[1] == n - 1]
-        if len(top) != 1:
+        if len(top) == 1:
+            i = top[0]
+            factor = factor * (Z if letters[i][2] > 0 else Z - params.qu * X)
+            letters = letters[i + 1:] + letters[:i]
+            continue
+        low = min((letter[1] for letter in letters if letter[0] == "s"), default=1)
+        if low == 1 or any(letter[0] == "r" for letter in letters):
             break
-        i = top[0]
-        factor = factor * (Z if letters[i][2] > 0 else Z - params.qu * X)
-        letters = letters[i + 1:] + letters[:i]
+        letters = tuple(("s", letter[1] - low + 1, letter[2]) for letter in letters)
     return markov_trace(pi_natural(BraidWordB(n, letters), params), params) * factor
 
 
@@ -143,15 +157,15 @@ def _canonical(parity: int, numer: LaurentPoly, z_pow: int, l_pow: int) -> Invar
     return InvariantValue(parity & 1, numer, z_pow, l_pow)
 
 
-def delta_b(word: BraidWordB, params: RingParams = SYMBOLIC) -> InvariantValue:
-    """The invariant of the closure of a braid word.
+def delta_b(word: BraidWordB) -> InvariantValue:
+    """The invariant of the closure of a braid word, with symbolic u, v.
 
     Combines the Markov trace of the word's algebra image with the
     normalization D^(n-1) s^e; integer powers of s^2 = L are folded into the
     fraction and only the parity of e - n + 1 survives as the formal s.
     """
     n = word.n
-    trace = word_trace(word, params)
+    trace = word_trace(word)
     e = exponent_sum(word)
     m = e - (n - 1)
     parity = m % 2

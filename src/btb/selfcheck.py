@@ -202,12 +202,12 @@ def relation_suite(n_max: int, params: alg.RingParams = alg.SYMBOLIC, seed: int 
     for n in range(1, n_max + 1):
         bad = []
         for name, sides in rep.defining_relations(n, params):
-            values = []
-            for side in sides:
-                total = alg.zero(n)
-                for coeff, word in side:
-                    total = total + alg.word_product(n, word, params).scaled(coeff)
-                values.append(total)
+            values = [
+                alg.AlgebraElement.sum_of(
+                    n, ((alg.word_product(n, word, params), coeff) for coeff, word in side)
+                )
+                for side in sides
+            ]
             if any(v != values[0] for v in values[1:]):
                 bad.append(name)
         out.append(_rec("relations", f"defining-relations-mul[n={n}]", not bad, ",".join(bad)))
@@ -411,7 +411,7 @@ def independence_suite(n_max: int, seed: int, points: int = 3) -> list[dict]:
             "independence", f"rank-certificate[n={n}]", report["full_rank"],
             f"ranks {report['ranks']} expected {report['expected']}",
         ))
-    control = rep.independence_certificate(2, [(Fraction(2), Fraction(3))], d=1, check_purity=False)
+    control = rep.independence_certificate(2, [(Fraction(2), Fraction(3))], d=1)
     out.append(_rec(
         "independence", "negative-control[d=1,n=2]",
         control["ranks"][0] < control["expected"],

@@ -2,8 +2,10 @@
 
 The algebra on n strands acts (on the right) on V^{⊗n}, where V has basis
 vectors indexed by pairs (i, r) with i in {-n,...,-1,1,...,n} and a rank
-r in {0,...,d-1}; d = n + 1 throughout (smaller d is kept available only as a
-negative control, where independence is expected to fail).
+r in {0,...,d-1}; d = n + 1 throughout.  Smaller d is kept only as the
+negative control of ``independence_certificate``, where independence is
+expected to fail; vectors do not store d, it bounds the ranks only when a
+vector is built.
 
 Local rules, acting on one or two tensor factors and extended linearly:
 
@@ -15,9 +17,11 @@ Local rules, acting on one or two tensor factors and extended linearly:
   the right at equal ranks.
 
 Vectors are sparse maps from multi-indices to coefficients; operators are
-never materialized as matrices.  The sparse accumulate, the expansion of the
-inverse generators and the exact row reduction of the independence
-certificate are the ones defined in ``algebra``.
+never materialized as matrices.  The sparse linear combination
+(``SparseVector``, whose ``sum_of`` builds every sum of scaled vectors), the
+sparse accumulate, the expansion of the inverse generators and the exact row
+reduction of the independence certificate are the ones defined in
+``algebra``.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .algebra import (
     AlgebraElement,
     RingParams,
     SYMBOLIC,
+    SparseVector,
     _acc,
     _check_gen,
     reduce_row as _reduce_row,
@@ -41,67 +46,38 @@ from .algebra import (
 MultiIndex = tuple  # tuple of (i, r) pairs, one per tensor factor
 
 
-class TensorVector:
-    """A sparse vector of V^{⊗n}; no zero entries stored."""
+class TensorVector(SparseVector):
+    """A sparse vector of V^{⊗n}; no zero entries stored.  ``d`` (default
+    n + 1) bounds the ranks of the given entries and is not kept."""
 
-    __slots__ = ("n", "d", "entries")
+    __slots__ = ()
 
-    def __init__(self, n: int, entries: dict | None = None, d: int | None = None):
-        self.n = n
-        self.d = n + 1 if d is None else d
+    def __init__(self, n: int, terms: dict | None = None, d: int | None = None):
+        d = n + 1 if d is None else d
         cleaned: dict[MultiIndex, LaurentPoly] = {}
-        if entries:
-            for idx, c in entries.items():
+        if terms:
+            for idx, c in terms.items():
                 idx = tuple(idx)
                 if len(idx) != n:
                     raise ValueError("multi-index length does not match n")
                 for i, r in idx:
-                    if i == 0 or abs(i) > n or not (0 <= r < self.d):
+                    if i == 0 or abs(i) > n or not (0 <= r < d):
                         raise ValueError(f"index component {(i, r)} out of range")
                 if c:
                     cleaned[idx] = c
-        self.entries = cleaned
-
-    @classmethod
-    def _raw(cls, n: int, entries: dict, d: int) -> "TensorVector":
-        v = object.__new__(cls)
-        v.n = n
-        v.d = d
-        v.entries = entries
-        return v
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TensorVector):
-            return NotImplemented
-        return self.n == other.n and self.d == other.d and self.entries == other.entries
-
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
-    def __add__(self, other: "TensorVector") -> "TensorVector":
-        out = dict(self.entries)
-        for idx, c in other.entries.items():
-            _acc(out, idx, c)
-        return TensorVector._raw(self.n, out, self.d)
-
-    def scaled(self, c: LaurentPoly) -> "TensorVector":
-        if not c:
-            return TensorVector._raw(self.n, {}, self.d)
-        return TensorVector._raw(
-            self.n, {idx: q * c for idx, q in self.entries.items()}, self.d
-        )
+        self.n = n
+        self.terms = cleaned
 
     def __repr__(self) -> str:
-        return f"<TensorVector n={self.n} with {len(self.entries)} entries>"
+        return f"<TensorVector n={self.n} with {len(self.terms)} entries>"
 
 
 def basis_vector(n: int, idx: Iterable, d: int | None = None) -> TensorVector:
     return TensorVector(n, {tuple(idx): ONE}, d=d)
 
 
-def all_multi_indices(n: int, d: int | None = None) -> Iterator[MultiIndex]:
+def all_multi_indices(n: int) -> Iterator[MultiIndex]:
     """All standard basis multi-indices, deterministically ordered."""
-    d = n + 1 if d is None else d
     indices = [i for i in range(-n, n + 1) if i]
 
     def rec(k: int) -> Iterator[tuple]:
@@ -110,18 +86,17 @@ def all_multi_indices(n: int, d: int | None = None) -> Iterator[MultiIndex]:
             return
         for rest in rec(k - 1):
             for i in indices:
-                for r in range(d):
+                for r in range(n + 1):
                     yield rest + ((i, r),)
 
     return rec(n)
 
 
-def random_multi_index(rng, n: int, d: int | None = None) -> MultiIndex:
-    d = n + 1 if d is None else d
+def random_multi_index(rng, n: int) -> MultiIndex:
     out = []
     for _ in range(n):
         i = rng.randint(1, n) * (1 if rng.random() < 0.5 else -1)
-        out.append((i, rng.randrange(d)))
+        out.append((i, rng.randrange(n + 1)))
     return tuple(out)
 
 
@@ -136,17 +111,17 @@ def apply_gen(vec: TensorVector, g: tuple, params: RingParams = SYMBOLIC) -> Ten
     out: dict[MultiIndex, LaurentPoly] = {}
     if kind == "E":
         i = g[1]
-        for idx, c in vec.entries.items():
+        for idx, c in vec.terms.items():
             if idx[i - 1][1] == idx[i][1]:
                 out[idx] = c
     elif kind == "F":
         j = g[1]
-        for idx, c in vec.entries.items():
+        for idx, c in vec.terms.items():
             if idx[j - 1][1] == 0:
                 out[idx] = c
     elif kind == "T":
         i = g[1]
-        for idx, c in vec.entries.items():
+        for idx, c in vec.terms.items():
             a, r = idx[i - 1]
             b, s = idx[i]
             swapped = idx[: i - 1] + (idx[i], idx[i - 1]) + idx[i + 1 :]
@@ -162,7 +137,7 @@ def apply_gen(vec: TensorVector, g: tuple, params: RingParams = SYMBOLIC) -> Ten
             if tie is not None:  # E_i fixes equal ranks
                 _acc(out, idx, c * tie)
     else:  # "B"
-        for idx, c in vec.entries.items():
+        for idx, c in vec.terms.items():
             a, r = idx[0]
             _acc(out, ((-a, r),) + idx[1:], c)
             if r == 0:
@@ -170,7 +145,7 @@ def apply_gen(vec: TensorVector, g: tuple, params: RingParams = SYMBOLIC) -> Ten
                     _acc(out, idx, c * params.qv)
                 if tie is not None:  # F_1 fixes rank 0
                     _acc(out, idx, c * tie)
-    return TensorVector._raw(vec.n, out, vec.d)
+    return TensorVector._raw(vec.n, out)
 
 
 def apply_word(vec: TensorVector, w: Window, params: RingParams = SYMBOLIC) -> TensorVector:
@@ -184,7 +159,7 @@ def ef_filter(vec: TensorVector, I: SetPartition0) -> TensorVector:
     """Project onto the vectors the idempotents of I fix: ranks must agree
     inside every block of I, and vanish on the block through 0."""
     out: dict[MultiIndex, LaurentPoly] = {}
-    for idx, c in vec.entries.items():
+    for idx, c in vec.terms.items():
         seen: dict[int, int] = {}
         ok = True
         for t in range(1, vec.n + 1):
@@ -201,7 +176,7 @@ def ef_filter(vec: TensorVector, I: SetPartition0) -> TensorVector:
                     break
         if ok:
             out[idx] = c
-    return TensorVector._raw(vec.n, out, vec.d)
+    return TensorVector._raw(vec.n, out)
 
 
 def apply_elem(vec: TensorVector, e: AlgebraElement, params: RingParams = SYMBOLIC) -> TensorVector:
@@ -209,11 +184,10 @@ def apply_elem(vec: TensorVector, e: AlgebraElement, params: RingParams = SYMBOL
     then the letters of the group part, linearly extended."""
     if e.n != vec.n:
         raise ValueError("element and vector strand counts differ")
-    total = TensorVector._raw(vec.n, {}, vec.d)
-    for (I, w), c in e.terms.items():
-        cur = apply_word(ef_filter(vec, I), w, params)
-        total = total + cur.scaled(c)
-    return total
+    return TensorVector.sum_of(
+        vec.n,
+        ((apply_word(ef_filter(vec, I), w, params), c) for (I, w), c in e.terms.items()),
+    )
 
 
 # -- the pure-tensor images of group elements ------------------------------------
@@ -243,10 +217,10 @@ def partition_vector(I: SetPartition0, d: int | None = None) -> TensorVector:
     return basis_vector(I.n, idx, d=d)
 
 
-def predicted_word_image(I: SetPartition0, w: Window, d: int | None = None) -> MultiIndex:
+def predicted_word_image(I: SetPartition0, w: Window) -> MultiIndex:
     """Where the group part sends the partition vector: factor t carries the
     index w(t) and the rank of |w(t)|'s block."""
-    ranks = block_ranks(I, d)
+    ranks = block_ranks(I)
     return tuple((w[t - 1], ranks[abs(w[t - 1]) - 1]) for t in range(1, I.n + 1))
 
 
@@ -336,19 +310,18 @@ def defining_relations(n: int, params: RingParams = SYMBOLIC) -> list:
 
 
 def apply_side(vec: TensorVector, side: list, params: RingParams) -> TensorVector:
-    total = TensorVector._raw(vec.n, {}, vec.d)
-    for coeff, word in side:
+    def image(word: tuple) -> TensorVector:
         cur = vec
         for g in word:
             cur = apply_gen(cur, g, params)
-        total = total + cur.scaled(coeff)
-    return total
+        return cur
+
+    return TensorVector.sum_of(vec.n, ((image(word), coeff) for coeff, word in side))
 
 
 def check_relations(
     n: int,
     params: RingParams = SYMBOLIC,
-    vectors: Sequence[TensorVector] | None = None,
     sample: int = 500,
     seed: int = 0,
 ) -> list[dict]:
@@ -358,17 +331,16 @@ def check_relations(
     seeded random sample of at least ``sample`` of them.  Returns one record
     per relation: {"relation", "index", "status"}.
     """
-    if vectors is None:
-        total = (2 * n * (n + 1)) ** n
-        if total <= sample:
-            vectors = [basis_vector(n, idx) for idx in all_multi_indices(n)]
-        else:
-            import random
+    total = (2 * n * (n + 1)) ** n
+    if total <= sample:
+        vectors = [basis_vector(n, idx) for idx in all_multi_indices(n)]
+    else:
+        import random
 
-            rng = random.Random(seed)
-            vectors = [
-                basis_vector(n, random_multi_index(rng, n)) for _ in range(sample)
-            ]
+        rng = random.Random(seed)
+        vectors = [
+            basis_vector(n, random_multi_index(rng, n)) for _ in range(sample)
+        ]
     report = []
     for name, sides in defining_relations(n, params):
         status = "ok"
@@ -390,7 +362,6 @@ def independence_certificate(
     n: int,
     points: Sequence,
     d: int | None = None,
-    check_purity: bool = True,
 ) -> dict:
     """Certify that the images of all basis pairs are linearly independent.
 
@@ -418,9 +389,9 @@ def independence_certificate(
     for I in parts:
         for w in group:
             img = apply_word(vectors[I], w)
-            if check_purity and d_eff == n + 1:
-                assert list(img.entries.values()) == [ONE], "group image is not pure"
-                assert next(iter(img.entries)) == predicted_word_image(I, w, d_eff)
+            if d_eff == n + 1:
+                assert list(img.terms.values()) == [ONE], "group image is not pure"
+                assert next(iter(img.terms)) == predicted_word_image(I, w)
             images[(part_index[I], w)] = img
 
     expected = len(parts) * len(group)
@@ -439,7 +410,7 @@ def independence_certificate(
                 row: dict[tuple, Fraction] = {}
                 for I in touched:
                     t = part_index[I]
-                    for idx, c in images[(t, w)].entries.items():
+                    for idx, c in images[(t, w)].terms.items():
                         _acc(row, (t, idx), c.evaluate(point6))
                 rank += _reduce_row(row, pivots)
         ranks.append(rank)

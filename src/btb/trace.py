@@ -41,7 +41,6 @@ from .algebra import (
     gen_elem,
     get_cbasis,
     mul,
-    zero,
 )
 
 X = var("x")
@@ -60,32 +59,32 @@ def theta(e: AlgebraElement, params: RingParams = SYMBOLIC) -> AlgebraElement:
         raise ValueError("theta needs at least one strand")
     cb = get_cbasis(k, params)
     prev = get_cbasis(k - 1, params)
-    out = zero(k - 1)
-    for (ms, I), c in cb.express(e).items():
-        j, sign = ms[-1]
-        rest = ms[:-1]
-        if j < k:
-            piece = mul(
-                prev.prefix(rest),
-                mul(prev.tee_elem(k - 1, (j, sign)), ef_elem(tau(I, k, j)), params),
-                params,
-            )
-            out = out + piece.scaled(c * Z)
-            continue
-        tied = I.parent[k] != k  # the top strand is tied iff its block is nontrivial
-        if sign > 0:
-            piece = prev.expansion(rest, remove(I, k))
-            out = out + (piece.scaled(c * X) if tied else piece.scaled(c))
-            continue
-        if not tied:
-            out = out + prev.expansion(rest, remove(I, k)).scaled(c * Y)
-            continue
-        mates = [i for i in range(k) if I.parent[i] == I.parent[k]]
-        if 0 in mates:
-            out = out + prev.expansion(rest, remove(I, k)).scaled(c * W)
-            continue
-        out = out + mul(prev.prefix(rest), _migrated_loop(I, k, min(mates), prev, params), params).scaled(c)
-    return out
+
+    def pieces():
+        for (ms, I), c in cb.express(e).items():
+            j, sign = ms[-1]
+            rest = ms[:-1]
+            if j < k:
+                yield mul(
+                    prev.prefix(rest),
+                    mul(prev.tee_elem(k - 1, (j, sign)), ef_elem(tau(I, k, j)), params),
+                    params,
+                ), c * Z
+                continue
+            tied = I.parent[k] != k  # the top strand is tied iff its block is nontrivial
+            if sign > 0:
+                yield prev.expansion(rest, remove(I, k)), (c * X if tied else c)
+                continue
+            if not tied:
+                yield prev.expansion(rest, remove(I, k)), c * Y
+                continue
+            mates = [i for i in range(k) if I.parent[i] == I.parent[k]]
+            if 0 in mates:
+                yield prev.expansion(rest, remove(I, k)), c * W
+                continue
+            yield mul(prev.prefix(rest), _migrated_loop(I, k, min(mates), prev, params), params), c
+
+    return AlgebraElement.sum_of(k - 1, pieces())
 
 
 def _migrated_loop(I, k: int, j: int, prev, params: RingParams) -> AlgebraElement:
@@ -93,8 +92,11 @@ def _migrated_loop(I, k: int, j: int, prev, params: RingParams) -> AlgebraElemen
     ef = ef_elem(tau(I, k, j))
     bj = prev.bk_elem(j)
     fj = gen_elem(("F", j), k - 1, params)
-    loop_part = mul(bj, ef, params).scaled(X) - mul(mul(bj, fj, params), ef, params).scaled(X)
-    return loop_part + mul(fj, ef, params).scaled(W)
+    return AlgebraElement.sum_of(k - 1, (
+        (mul(bj, ef, params), X),
+        (mul(mul(bj, fj, params), ef, params), -X),
+        (mul(fj, ef, params), W),
+    ))
 
 
 def markov_trace(e: AlgebraElement, params: RingParams = SYMBOLIC) -> LaurentPoly:

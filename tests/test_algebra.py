@@ -194,8 +194,8 @@ def test_defining_relations_all_indices():
 
 
 def test_basis_counts():
-    assert len(alg.basis_B(1)) == 4
-    assert len(alg.basis_B(2)) == 40
+    assert sum(1 for _ in alg.basis_pairs(1)) == 4
+    assert sum(1 for _ in alg.basis_pairs(2)) == 40
     assert sum(1 for _ in alg.basis_pairs(3)) == 720
 
 
@@ -264,7 +264,8 @@ def test_descriptor_count_matches_dimension():
 
 
 def test_basis_c_surface():
-    listed = alg.basis_C(1)
+    cb = alg.get_cbasis(1)
+    listed = [((ms, I), cb.expansion(ms, I)) for (ms, I) in alg.descriptor_pairs(1)]
     assert len(listed) == 4
     # expansions of the four one-strand descriptors, in enumeration order
     by_descriptor = dict(listed)
@@ -272,7 +273,7 @@ def test_basis_c_surface():
     loop_descr = (((1, -1),), P.singletons(1))
     assert by_descriptor[unit_descr] == alg.unit(1)
     assert by_descriptor[loop_descr] == alg.gen_elem(alg.GEN_B, 1)
-    coords = alg.express_in_C(alg.gen_elem(alg.GEN_B, 1))
+    coords = cb.express(alg.gen_elem(alg.GEN_B, 1))
     assert coords == {loop_descr: ONE}
 
 

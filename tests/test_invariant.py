@@ -134,6 +134,16 @@ def test_word_trace_matches_full_trace_randomized():
             w = random_word(rng, n, rng.randint(0, 7))
             w = cox.BraidWordB(n + rng.randint(0, 2), w.letters)
             assert inv.word_trace(w, params) == markov_trace(inv.pi_natural(w, params), params)
+        # loop-free words that leave the lowest strands unused are shifted down
+        for _ in range(60):
+            n = rng.randint(3, 5)
+            low = rng.randint(2, n - 1)
+            letters = tuple(
+                ("s", rng.randint(low, n - 1), 1 if rng.random() < 0.5 else -1)
+                for _ in range(rng.randint(1, 6))
+            )
+            w = cox.BraidWordB(n, letters)
+            assert inv.word_trace(w, params) == markov_trace(inv.pi_natural(w, params), params)
 
 
 def test_word_trace_destabilizes_repeatedly():
@@ -157,3 +167,9 @@ def test_wide_closure_cli_exits_0(capsys):
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
     assert captured.out == "1 / (z^549 (z - (u - u^-1) x)^549)\n"
+    # a top strand used twice: the loop-free word is shifted down to s1 s1
+    code = main(["invariant", "--strands", "1100", "--word", "s1099 s1099"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out == "s * (-u^-1 z + 1 + u z) / (z^550 (z - (u - u^-1) x)^549)\n"
+    assert inv.word_trace(word("s1099 s1099", 1100)) == markov_trace(inv.pi_natural(word("s1 s1", 2)))

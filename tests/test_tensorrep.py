@@ -71,8 +71,8 @@ def test_group_images_are_pure():
             vec = rep.partition_vector(I)
             for w in cox.enumerate_group(n):
                 img = rep.apply_word(vec, w)
-                assert list(img.entries.values()) == [ONE]
-                assert next(iter(img.entries)) == rep.predicted_word_image(I, w)
+                assert list(img.terms.values()) == [ONE]
+                assert next(iter(img.terms)) == rep.predicted_word_image(I, w)
 
 
 def test_idempotent_images_are_idempotent():
@@ -113,7 +113,21 @@ def test_independence_small():
 
 def test_independence_negative_control():
     # collapsing the rank alphabet destroys independence
-    report = rep.independence_certificate(2, [(Fraction(2), Fraction(3))], d=1, check_purity=False)
+    report = rep.independence_certificate(2, [(Fraction(2), Fraction(3))], d=1)
     assert report["ranks"][0] < report["expected"]
-    report = rep.independence_certificate(2, [(Fraction(2), Fraction(3))], d=2, check_purity=False)
+    report = rep.independence_certificate(2, [(Fraction(2), Fraction(3))], d=2)
     assert report["ranks"][0] < report["expected"]
+
+
+def test_basis_vector_checks_rank_bound():
+    # d bounds the ranks when a vector is built, and is not kept on it
+    small = rep.basis_vector(2, [(1, 1), (-2, 0)], d=2)
+    assert not hasattr(small, "d")
+    assert small == rep.basis_vector(2, [(1, 1), (-2, 0)])
+    with pytest.raises(ValueError):
+        rep.basis_vector(2, [(1, 2), (2, 0)], d=2)
+    with pytest.raises(ValueError):
+        rep.basis_vector(2, [(1, 3), (2, 0)])
+    for bad in ([(0, 0), (1, 0)], [(3, 0), (1, 0)], [(-3, 0), (1, 0)], [(1, 0)], [(1, -1), (2, 0)]):
+        with pytest.raises(ValueError):
+            rep.basis_vector(2, bad)
