@@ -29,7 +29,10 @@ reduction over the rationals).
 The module also maintains a second, descriptor-indexed basis used by the
 relative traces: products m_1...m_n * (idempotents of I), where m_k is one of
 1, B_k = T_{k-1}..T_1 B T_1^-1..T_{k-1}^-1, or T_{k-1}..T_j optionally
-followed by B_j.  ``CBasis`` caches the expansions of these descriptors into
+followed by B_j.  A descriptor's m-word is exactly the m-word of the group
+normal form (``coxeter.normal_form``): the entry (j, sign) at level k is the
+same block choice, so the descriptor led by w is ``normal_form(w)``.
+``CBasis`` caches the expansions of these descriptors into
 normal form; expansions are unitriangular (descriptor -> its leading pair
 with coefficient one plus strictly shorter words), so elements are expressed
 in descriptor coordinates by peeling leading terms, with no division at all.
@@ -40,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .coeff import ONE, LaurentPoly, const, var
@@ -47,6 +51,7 @@ from .coxeter import (
     R_LETTER,
     Window,
     apply_letter,
+    block_choices,
     enumerate_group,
     eta,
     identity,
@@ -346,6 +351,12 @@ def mul_gen(e: AlgebraElement, g: tuple, params: RingParams = SYMBOLIC) -> Algeb
     return AlgebraElement._raw(e.n, out)
 
 
+@lru_cache(maxsize=None)
+def gen_word(w: Window) -> tuple:
+    """The generators B and T_i spelling ``reduced_word(w)``, left to right."""
+    return tuple(GEN_B if letter == R_LETTER else ("T", letter[1]) for letter in reduced_word(w))
+
+
 def word_product(n: int, gens: Iterable[tuple], params: RingParams = SYMBOLIC) -> AlgebraElement:
     """Multiply out a sequence of generators, left to right."""
     e = unit(n)
@@ -371,8 +382,7 @@ def mul(a: AlgebraElement, b: AlgebraElement, params: RingParams = SYMBOLIC) -> 
             K = join(I, apply_perm(eta(w), J))
             _acc(tmp, (K, w), c if q is ONE else c * q)
         cur = AlgebraElement._raw(n, tmp)
-        for letter in reduced_word(v):
-            g = GEN_B if letter == R_LETTER else ("T", letter[1])
+        for g in gen_word(v):
             cur = mul_gen(cur, g, params)
         for key, c in cur.terms.items():
             _acc(total, key, c)
@@ -397,26 +407,6 @@ def basis_pairs(n: int) -> Iterator[BasisPair]:
 
 
 # -- the descriptor basis driving the traces ----------------------------------------
-
-MCode = tuple  # (j, sign): sign +1 -> T_{k-1}..T_j (1 if j = k);
-#                sign -1 -> T_{k-1}..T_j B_j (B_k if j = k)
-
-
-def m_codes(k: int) -> Iterator[MCode]:
-    """The 2k block choices at level k, in deterministic order."""
-    yield (k, 1)
-    yield (k, -1)
-    for j in range(k - 1, 0, -1):
-        yield (j, 1)
-        yield (j, -1)
-
-
-@lru_cache(maxsize=None)
-def mword_of(w: Window) -> tuple:
-    """The descriptor word whose leading group element is w (the block
-    decomposition, forgetting the level indices)."""
-    return tuple((j, sign) for (_, j, sign) in normal_form(w))
-
 
 @lru_cache(maxsize=None)
 def _eta_inv(w: Window) -> tuple:
@@ -449,8 +439,10 @@ class CBasis:
             self._bk[k] = cached
         return cached
 
-    def tee_elem(self, k: int, code: MCode) -> AlgebraElement:
-        """The level-k block element for a descriptor entry."""
+    def tee_elem(self, k: int, code: tuple) -> AlgebraElement:
+        """The level-k block element for a descriptor entry (j, sign):
+        sign +1 gives T_{k-1}..T_j (1 if j = k), sign -1 gives
+        T_{k-1}..T_j B_j (B_k if j = k)."""
         j, sign = code
         assert 1 <= j <= k
         key = (k, j, sign)
@@ -464,15 +456,18 @@ class CBasis:
         return cached
 
     def prefix(self, ms: tuple) -> AlgebraElement:
-        """The product m_1 ... m_len(ms) as an element."""
+        """The product m_1 ... m_len(ms) as an element.
+
+        A miss extends the longest cached prefix (``()`` always is) one
+        level at a time and caches every step.
+        """
         cached = self._prefix.get(ms)
         if cached is None:
-            cached = mul(
-                self.prefix(ms[:-1]),
-                self.tee_elem(len(ms), ms[-1]),
-                self.params,
-            )
-            self._prefix[ms] = cached
+            done = next(k for k in range(len(ms) - 1, -1, -1) if ms[:k] in self._prefix)
+            cached = self._prefix[ms[:done]]
+            for k in range(done + 1, len(ms) + 1):
+                cached = mul(cached, self.tee_elem(k, ms[k - 1]), self.params)
+                self._prefix[ms[:k]] = cached
         return cached
 
     def expansion(self, ms: tuple, I: SetPartition0) -> AlgebraElement:
@@ -508,7 +503,7 @@ class CBasis:
             for key in keys:
                 c = work.pop(key)
                 J, w = key
-                ms = mword_of(w)
+                ms = normal_form(w)
                 I = apply_perm(_eta_inv(w), J)
                 expn = self.expansion(ms, I)
                 lead = expn.terms.get(key)
@@ -543,15 +538,7 @@ def get_cbasis(n: int, params: RingParams = SYMBOLIC) -> CBasis:
 
 def descriptor_pairs(n: int) -> Iterator[tuple]:
     """All (m-word, partition) descriptors in deterministic order."""
-    def words(k: int) -> Iterator[tuple]:
-        if k == 0:
-            yield ()
-            return
-        for head in words(k - 1):
-            for code in m_codes(k):
-                yield head + (code,)
-
-    for ms in words(n):
+    for ms in product(*map(block_choices, range(1, n + 1))):
         for I in enumerate_partitions(n):
             yield (ms, I)
 

@@ -8,27 +8,33 @@ bare tuple (w(1), ..., w(n)); the group is generated by
 - ``s_i`` = the adjacent transposition of i and i+1.
 
 The product ``w_mul(a, b)`` is function composition a∘b (b acts on the point
-first), so a word read left to right multiplies left to right:
-``word_to_perm`` of [s1, r] equals w_mul(gen_s(n, 1), gen_r(n)).
+first), so a word read left to right multiplies left to right: the word
+[s1, r] on two letters is w_mul((2, 1), (-1, 2)) = (-2, 1).
 
 Every w factors uniquely as w = w_1 ∘ ... ∘ w_n where w_k moves k to its slot:
 w_k is one of 1, r_k, s_{k-1}..s_j, or s_{k-1}..s_j r_j (j < k), with
-r_k = s_{k-1}..s_1 r s_1..s_{k-1}.  The concatenated block words are reduced,
-so their total letter count is the Coxeter length.  ``normal_form`` returns
-the blocks as triples (k, j, sign): (k, k, +1) is the empty block, (k, k, -1)
-is r_k, and (k, j, ±1) with j < k is s_{k-1}..s_j followed, when the sign is
-negative, by r_j.
+r_k = s_{k-1}..s_1 r s_1..s_{k-1} the sign change on the k-th letter.  In the
+window this is insertion: w_1 ∘ ... ∘ w_k restricted to its first k letters
+is the window of w_1 ∘ ... ∘ w_{k-1} with the entry ±k inserted at slot j.
+``normal_form`` returns the blocks as the m-word of (j, sign) pairs, one per
+level k = 1..n: (k, +1) is the empty block, (k, -1) is r_k, and (j, ±1) with
+j < k is s_{k-1}..s_j followed, when the sign is negative, by r_j.
+``from_blocks`` inverts it.  The concatenated block words are reduced, so
+their total letter count is the Coxeter length.
 
->>> length(gen_r(2)), length(r_k(2, 2))
+>>> length((-1, 2)), length((1, -2))
 (1, 3)
->>> normal_form(r_k(3, 2))
-((1, 1, 1), (2, 2, -1), (3, 3, 1))
+>>> normal_form((1, -2, 3))
+((1, 1), (2, -1), (3, 1))
+>>> from_blocks(((1, 1), (1, -1)))
+(-2, 1)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Iterator, Sequence
 
 Window = tuple  # tuple[int, ...], window notation
@@ -39,18 +45,6 @@ R_LETTER = ("r",)
 
 def identity(n: int) -> Window:
     return tuple(range(1, n + 1))
-
-
-def gen_r(n: int) -> Window:
-    assert n >= 1
-    return (-1,) + tuple(range(2, n + 1))
-
-
-def gen_s(n: int, i: int) -> Window:
-    assert 1 <= i <= n - 1
-    win = list(range(1, n + 1))
-    win[i - 1], win[i] = win[i], win[i - 1]
-    return tuple(win)
 
 
 def act(w: Window, point: int) -> int:
@@ -67,40 +61,9 @@ def w_mul(a: Window, b: Window) -> Window:
     return tuple(a[m - 1] if m > 0 else -a[-m - 1] for m in b)
 
 
-def w_inv(a: Window) -> Window:
-    out = [0] * len(a)
-    for i, m in enumerate(a, start=1):
-        if m > 0:
-            out[m - 1] = i
-        else:
-            out[-m - 1] = -i
-    return tuple(out)
-
-
-def r_k(n: int, k: int) -> Window:
-    """The sign change on the k-th letter, r_k = s_{k-1}..s_1 r s_1..s_{k-1}."""
-    assert 1 <= k <= n
-    win = list(range(1, n + 1))
-    win[k - 1] = -k
-    return tuple(win)
-
-
-def sigma_shift(n: int, j: int, k: int) -> Window:
-    """The cycle s_{j-1}∘...∘s_k for j > k: sends k to j and slides the
-    points in (k, j] down by one."""
-    assert 1 <= k < j <= n
-    win = []
-    for i in range(1, n + 1):
-        if i == k:
-            win.append(j)
-        elif k < i <= j:
-            win.append(i - 1)
-        else:
-            win.append(i)
-    return tuple(win)
-
-
 def sigma_shift_inv(n: int, j: int, k: int) -> Window:
+    """The cycle s_k∘...∘s_{j-1} for j > k: sends j to k and slides the
+    points in [k, j) up by one."""
     assert 1 <= k < j <= n
     win = []
     for i in range(1, n + 1):
@@ -137,7 +100,7 @@ def length(w: Window) -> int:
     magnitude of that letter.  Cross-checked against breadth-first search over
     the Cayley graph in the test suite.
 
-    >>> length(identity(3)), length(gen_r(3)), length(r_k(3, 2))
+    >>> length(identity(3)), length((-1, 2, 3)), length((1, -2, 3))
     (0, 1, 3)
     """
     total = 0
@@ -174,40 +137,45 @@ def apply_letter(w: Window, letter: Letter) -> Window:
     return w[: i - 1] + (w[i], w[i - 1]) + w[i + 1:]
 
 
-def normal_form(w: Window) -> tuple:
-    """The block decomposition (see module docstring) as (k, j, sign) triples.
+def block_choices(k: int) -> Iterator[tuple]:
+    """The 2k (j, sign) choices of the level-k block, in enumeration order."""
+    for j in range(k, 0, -1):
+        yield (j, 1)
+        yield (j, -1)
 
-    >>> normal_form(identity(2))
-    ((1, 1, 1), (2, 2, 1))
-    >>> normal_form(gen_s(2, 1))
-    ((1, 1, 1), (2, 1, 1))
+
+@lru_cache(maxsize=None)
+def normal_form(w: Window) -> tuple:
+    """The block decomposition (see module docstring) as its m-word: one
+    (j, sign) per level, found by deleting ±k from the first k letters for
+    k = n, ..., 1.
+
+    >>> normal_form((1, 2))
+    ((1, 1), (2, 1))
+    >>> normal_form((2, 1))
+    ((1, 1), (1, 1))
     """
-    n = len(w)
+    win = list(w)
     blocks = []
-    current = w
-    for k in range(n, 0, -1):
-        j = next(i for i in range(1, k + 1) if abs(current[i - 1]) == k)
-        sign = 1 if current[j - 1] > 0 else -1
-        blocks.append((k, j, sign))
-        current = w_mul(current, w_inv(block_perm(k, j, sign, n)))
-        assert current[k - 1 :] == tuple(range(k, n + 1))
+    for k in range(len(win), 0, -1):
+        j = next(i for i in range(k) if abs(win[i]) == k)
+        blocks.append((j + 1, 1 if win.pop(j) > 0 else -1))
     blocks.reverse()
     return tuple(blocks)
 
 
-def block_perm(k: int, j: int, sign: int, n: int) -> Window:
-    """The group element of one normal-form block descriptor."""
-    if j == k:
-        return identity(n) if sign > 0 else r_k(n, k)
-    base = sigma_shift(n, k, j)
-    if sign > 0:
-        return base
-    return w_mul(base, r_k(n, j))
+def from_blocks(mword: Sequence[tuple]) -> Window:
+    """The group element of an m-word: insert sign * k at slot j, level by
+    level; the inverse of ``normal_form``."""
+    win: list[int] = []
+    for k, (j, sign) in enumerate(mword, start=1):
+        win.insert(j - 1, sign * k)
+    return tuple(win)
 
 
-def block_word(block: tuple) -> tuple:
-    """A reduced word for one normal-form block, letters left to right."""
-    k, j, sign = block
+def block_word(k: int, choice: tuple) -> tuple:
+    """A reduced word for the level-k block (j, sign), letters left to right."""
+    j, sign = choice
     word: list[Letter] = [("s", i) for i in range(k - 1, j - 1, -1)]
     if sign < 0:
         word.extend(("s", i) for i in range(j - 1, 0, -1))
@@ -216,7 +184,6 @@ def block_word(block: tuple) -> tuple:
     return tuple(word)
 
 
-@lru_cache(maxsize=None)
 def reduced_word(w: Window) -> tuple:
     """Some reduced word for w, produced by stripping right descents.
 
@@ -244,24 +211,8 @@ def word_to_perm(n: int, word: Sequence[Letter]) -> Window:
 
 
 def enumerate_group(n: int) -> Iterator[Window]:
-    """All 2^n n! signed permutations, in normal-form block order."""
-
-    def rec(k: int, acc: Window) -> Iterator[Window]:
-        if k > n:
-            yield acc
-            return
-        for block in _block_range(k):
-            yield from rec(k + 1, w_mul(acc, block_perm(*block, n)))
-
-    yield from rec(1, identity(n))
-
-
-def _block_range(k: int) -> Iterator[tuple]:
-    yield (k, k, 1)
-    yield (k, k, -1)
-    for j in range(k - 1, 0, -1):
-        yield (k, j, 1)
-        yield (k, j, -1)
+    """All 2^n n! signed permutations, in m-word order (level 1 outermost)."""
+    return map(from_blocks, product(*map(block_choices, range(1, n + 1))))
 
 
 def random_signed_perm(rng, n: int) -> Window:

@@ -53,8 +53,7 @@ from .algebra import (
     GEN_B_INV,
     RingParams,
     SYMBOLIC,
-    mul_gen,
-    unit,
+    word_product,
 )
 from .trace import X, Z, markov_trace
 
@@ -64,14 +63,13 @@ L_NUMER = var("z") - (var("u") - var("u", -1)) * var("x")
 
 def pi_natural(word: BraidWordB, params: RingParams = SYMBOLIC) -> AlgebraElement:
     """The algebra image of a braid word (a homomorphism on words)."""
-    e = unit(word.n)
-    for letter in word.letters:
-        if letter[0] == "r":
-            g = GEN_B if letter[1] > 0 else GEN_B_INV
-        else:
-            g = ("T", letter[1]) if letter[2] > 0 else ("T-", letter[1])
-        e = mul_gen(e, g, params)
-    return e
+    return word_product(
+        word.n,
+        ((GEN_B if letter[1] > 0 else GEN_B_INV) if letter[0] == "r"
+         else ("T", letter[1]) if letter[2] > 0 else ("T-", letter[1])
+         for letter in word.letters),
+        params,
+    )
 
 
 def word_trace(word: BraidWordB, params: RingParams = SYMBOLIC) -> LaurentPoly:

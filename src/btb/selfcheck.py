@@ -174,11 +174,11 @@ def coxeter_suite(seed: int, n_bfs: int = 3) -> list[dict]:
         seen = set()
         for wd in cox.enumerate_group(n):
             seen.add(wd)
-            blocks = cox.normal_form(wd)
+            ms = cox.normal_form(wd)
             word = []
-            for blk in blocks:
-                word.extend(cox.block_word(blk))
-            ok_nf &= cox.word_to_perm(n, word) == wd
+            for k, choice in enumerate(ms, start=1):
+                word.extend(cox.block_word(k, choice))
+            ok_nf &= cox.word_to_perm(n, word) == wd and cox.from_blocks(ms) == wd
             ok_nf &= len(word) == cox.length(wd)
             rw = cox.reduced_word(wd)
             ok_nf &= len(rw) == cox.length(wd) and cox.word_to_perm(n, rw) == wd
@@ -355,10 +355,7 @@ def rewriting_suite(params: alg.RingParams = alg.SYMBOLIC) -> list[dict]:
                 gens.extend([("T-", i) for i in range(j, k)])
             v_inv = alg.word_product(n, gens, params)
             assert alg.mul(v, v_inv, params) == alg.unit(n)
-            word_perm = cox.identity(n)
-            for k in range(1, n + 1):
-                j, sign = ms[k - 1]
-                word_perm = cox.w_mul(word_perm, cox.block_perm(k, j, sign, n))
+            word_perm = cox.from_blocks(ms)
             lhs = alg.mul_many([v, alg.ef_elem(I), v_inv], params)
             ok_cn &= lhs == alg.ef_elem(parts.apply_perm(cox.eta(word_perm), I))
     out.append(_rec("rewriting", "descriptor-conjugates-ties", ok_cn))
@@ -499,7 +496,7 @@ def trace_lemma_suite(n_max: int, instances: int, seed: int,
             ve = alg.embed(v, n)
             I = parts.random_partition(rng, n)
             cb_prev = alg.get_cbasis(n - 1, params)
-            for code in alg.m_codes(n):
+            for code in cox.block_choices(n):
                 j, sign = code
                 m_elem = alg.get_cbasis(n, params).tee_elem(n, code)
                 probe = alg.mul_many([ve, m_elem, alg.ef_elem(I)], params)

@@ -27,10 +27,11 @@ reduction of the independence certificate are the ones defined in
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .coeff import ONE, LaurentPoly
-from .coxeter import R_LETTER, Window, enumerate_group, reduced_word
+from .coxeter import Window, enumerate_group
 from .partitions import SetPartition0, enumerate_partitions, refines
 from .algebra import (
     AlgebraElement,
@@ -39,6 +40,7 @@ from .algebra import (
     SparseVector,
     _acc,
     _check_gen,
+    gen_word,
     reduce_row as _reduce_row,
     split_inverse,
 )
@@ -77,19 +79,10 @@ def basis_vector(n: int, idx: Iterable, d: int | None = None) -> TensorVector:
 
 
 def all_multi_indices(n: int) -> Iterator[MultiIndex]:
-    """All standard basis multi-indices, deterministically ordered."""
-    indices = [i for i in range(-n, n + 1) if i]
-
-    def rec(k: int) -> Iterator[tuple]:
-        if k == 0:
-            yield ()
-            return
-        for rest in rec(k - 1):
-            for i in indices:
-                for r in range(n + 1):
-                    yield rest + ((i, r),)
-
-    return rec(n)
+    """All standard basis multi-indices, deterministically ordered (the last
+    factor varies fastest)."""
+    pairs = [(i, r) for i in range(-n, n + 1) if i for r in range(n + 1)]
+    return product(pairs, repeat=n)
 
 
 def random_multi_index(rng, n: int) -> MultiIndex:
@@ -149,8 +142,7 @@ def apply_gen(vec: TensorVector, g: tuple, params: RingParams = SYMBOLIC) -> Ten
 
 
 def apply_word(vec: TensorVector, w: Window, params: RingParams = SYMBOLIC) -> TensorVector:
-    for letter in reduced_word(w):
-        g = ("B",) if letter == R_LETTER else ("T", letter[1])
+    for g in gen_word(w):
         vec = apply_gen(vec, g, params)
     return vec
 
