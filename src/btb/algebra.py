@@ -23,8 +23,9 @@ oracle: ``_acc`` (add a coefficient into a sparse key -> coefficient map),
 ``SparseVector`` (the linear combination behind both algebra elements and
 tensor vectors, whose ``sum_of`` accumulates every sum of scaled terms into
 one map through ``_acc``), ``split_inverse`` (T_i^-1 and B^-1 by the
-quadratic relations) and ``reduce_row`` (one step of exact sparse row
-reduction over the rationals).
+quadratic relations), ``inverse_gens`` (the generator word of an inverse),
+``block_gens`` (the generator word of a descriptor block) and
+``reduce_row`` (one step of exact sparse row reduction over the rationals).
 
 The module also maintains a second, descriptor-indexed basis used by the
 relative traces: products m_1...m_n * (idempotents of I), where m_k is one of
@@ -351,6 +352,28 @@ def mul_gen(e: AlgebraElement, g: tuple, params: RingParams = SYMBOLIC) -> Algeb
     return AlgebraElement._raw(e.n, out)
 
 
+_INVERSE_KIND = {"T": "T-", "T-": "T", "B": "B-", "B-": "B"}
+
+
+def inverse_gens(gens: Sequence[tuple]) -> tuple:
+    """The generator word of the inverse of a braid-generator word: the word
+    reversed, every letter inverted."""
+    return tuple((_INVERSE_KIND[g[0]],) + g[1:] for g in reversed(gens))
+
+
+def block_gens(k: int, code: tuple) -> tuple:
+    """The generator word of the level-k block (j, sign), left to right:
+    T_{k-1}..T_j, followed for sign -1 by
+    B_j = T_{j-1}..T_1 B T_1^-1..T_{j-1}^-1."""
+    j, sign = code
+    assert 1 <= j <= k
+    gens = tuple(("T", i) for i in range(k - 1, j - 1, -1))
+    if sign < 0:
+        head = tuple(("T", i) for i in range(j - 1, 0, -1))
+        gens += head + (GEN_B,) + inverse_gens(head)
+    return gens
+
+
 @lru_cache(maxsize=None)
 def gen_word(w: Window) -> tuple:
     """The generators B and T_i spelling ``reduced_word(w)``, left to right."""
@@ -417,41 +440,30 @@ class CBasis:
     """Expansion cache for descriptor-basis computations at a fixed strand
     count and parameter choice.
 
-    All cached elements are immutable; build once, read forever.
+    A block is the generator word ``block_gens`` spells; its element, every
+    prefix m_1 ... m_k and every expansion are built from those words.  All
+    cached elements are immutable; build once, read forever.
     """
 
     def __init__(self, n: int, params: RingParams = SYMBOLIC):
         self.n = n
         self.params = params
-        self._bk: dict[int, AlgebraElement] = {}
         self._tee: dict[tuple, AlgebraElement] = {}
         self._prefix: dict[tuple, AlgebraElement] = {(): unit(n)}
         self._expansion: dict[tuple, AlgebraElement] = {}
 
     def bk_elem(self, k: int) -> AlgebraElement:
         """B_k = T_{k-1}..T_1 B T_1^-1..T_{k-1}^-1 as an element."""
-        cached = self._bk.get(k)
-        if cached is None:
-            gens = [("T", i) for i in range(k - 1, 0, -1)]
-            gens.append(GEN_B)
-            gens.extend(("T-", i) for i in range(1, k))
-            cached = word_product(self.n, gens, self.params)
-            self._bk[k] = cached
-        return cached
+        return self.tee_elem(k, (k, -1))
 
     def tee_elem(self, k: int, code: tuple) -> AlgebraElement:
         """The level-k block element for a descriptor entry (j, sign):
         sign +1 gives T_{k-1}..T_j (1 if j = k), sign -1 gives
         T_{k-1}..T_j B_j (B_k if j = k)."""
-        j, sign = code
-        assert 1 <= j <= k
-        key = (k, j, sign)
+        key = (k,) + code
         cached = self._tee.get(key)
         if cached is None:
-            gens = [("T", i) for i in range(k - 1, j - 1, -1)]
-            cached = word_product(self.n, gens, self.params)
-            if sign < 0:
-                cached = mul(cached, self.bk_elem(j), self.params)
+            cached = word_product(self.n, block_gens(k, code), self.params)
             self._tee[key] = cached
         return cached
 
@@ -459,14 +471,16 @@ class CBasis:
         """The product m_1 ... m_len(ms) as an element.
 
         A miss extends the longest cached prefix (``()`` always is) one
-        level at a time and caches every step.
+        level at a time, applying that level's block generators, and caches
+        every step.
         """
         cached = self._prefix.get(ms)
         if cached is None:
             done = next(k for k in range(len(ms) - 1, -1, -1) if ms[:k] in self._prefix)
             cached = self._prefix[ms[:done]]
             for k in range(done + 1, len(ms) + 1):
-                cached = mul(cached, self.tee_elem(k, ms[k - 1]), self.params)
+                for g in block_gens(k, ms[k - 1]):
+                    cached = mul_gen(cached, g, self.params)
                 self._prefix[ms[:k]] = cached
         return cached
 

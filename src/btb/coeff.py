@@ -109,18 +109,7 @@ class LaurentPoly:
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = out.get(exps)
-            if acc is None:
-                out[exps] = -coeff
-            else:
-                acc = acc - coeff
-                if acc:
-                    out[exps] = acc
-                else:
-                    del out[exps]
-        return LaurentPoly._raw(out)
+        return self + -other
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
@@ -344,17 +333,18 @@ def parse_poly(text: str) -> LaurentPoly:
     return result
 
 
-def random_point(rng, lo: int = -9, hi: int = 9) -> tuple[Fraction, ...]:
-    """A random rational evaluation point with u, v, z nonzero."""
+def random_point(rng) -> tuple[Fraction, ...]:
+    """A random rational evaluation point with u, v, z nonzero; numerators in
+    [-9, 9], denominators in [1, 9]."""
 
     def nonzero() -> Fraction:
         while True:
-            num = rng.randint(lo, hi)
+            num = rng.randint(-9, 9)
             if num:
-                return Fraction(num, rng.randint(1, hi))
+                return Fraction(num, rng.randint(1, 9))
 
     def anyval() -> Fraction:
-        return Fraction(rng.randint(lo, hi), rng.randint(1, hi))
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
     vals = []
     for name in VARS:

@@ -127,10 +127,9 @@ def partition_suite(seed: int, n_exhaustive: int = 3, n_bijection: int = 4) -> l
                 for k in range(1, n):
                     sig_n = cox.eta(cox.sigma_shift_inv(n, n, k))
                     lhs = parts.tau(parts.join(parts.apply_perm(sig_n, Jn), I), n, k)
-                    if n >= 2:
-                        sig_prev = cox.eta(cox.sigma_shift_inv(n - 1, n - 1, k)) if n - 1 > k else tuple(range(1, n))
-                        rhs = parts.join(parts.apply_perm(sig_prev, J), parts.tau(I, n, k))
-                        ok_eq &= lhs == rhs
+                    sig_prev = cox.eta(cox.sigma_shift_inv(n - 1, n - 1, k)) if n - 1 > k else tuple(range(1, n))
+                    rhs = parts.join(parts.apply_perm(sig_prev, J), parts.tau(I, n, k))
+                    ok_eq &= lhs == rhs
     out.append(_rec("partitions", "contract-exchange", ok_eq))
 
     ok_join = True
@@ -197,126 +196,124 @@ def coxeter_suite(seed: int, n_bfs: int = 3) -> list[dict]:
     return out
 
 
-def relation_suite(n_max: int, params: alg.RingParams = alg.SYMBOLIC, seed: int = 0) -> list[dict]:
+def relation_suite(n_max: int, seed: int = 0) -> list[dict]:
     out = []
     for n in range(1, n_max + 1):
         bad = []
-        for name, sides in rep.defining_relations(n, params):
+        for name, sides in rep.defining_relations(n):
             values = [
                 alg.AlgebraElement.sum_of(
-                    n, ((alg.word_product(n, word, params), coeff) for coeff, word in side)
+                    n, ((alg.word_product(n, word), coeff) for coeff, word in side)
                 )
                 for side in sides
             ]
             if any(v != values[0] for v in values[1:]):
                 bad.append(name)
         out.append(_rec("relations", f"defining-relations-mul[n={n}]", not bad, ",".join(bad)))
-        report = rep.check_relations(n, params, seed=seed)
+        report = rep.check_relations(n, seed=seed)
         fails = [r["relation"] + r["index"] for r in report if r["status"] != "ok"]
         out.append(_rec("relations", f"defining-relations-tensor[n={n}]", not fails, ",".join(fails)))
     return out
 
 
-def rewriting_suite(params: alg.RingParams = alg.SYMBOLIC) -> list[dict]:
+def rewriting_suite() -> list[dict]:
     """The auxiliary identities the multiplication engine must reproduce."""
     out = []
-    qu, qv = params.qu, params.qv
+    qu, qv = alg.SYMBOLIC.qu, alg.SYMBOLIC.qv
 
     def barred(n_strands: int, k: int) -> alg.AlgebraElement:
         gens = [("T", i) for i in range(k - 1, 0, -1)] + [alg.GEN_B] + [("T", i) for i in range(1, k)]
-        return alg.word_product(n_strands, gens, params)
+        return alg.word_product(n_strands, gens)
 
-    def tee_barred(n_strands: int, k: int, j: int, sign: int) -> alg.AlgebraElement:
-        e = alg.word_product(n_strands, [("T", i) for i in range(k - 1, j - 1, -1)], params)
-        if sign < 0:
-            e = alg.mul(e, barred(n_strands, j), params)
-        return e
+    def tee_barred(n: int, j: int, sign: int) -> alg.AlgebraElement:
+        e = alg.word_product(n, alg.block_gens(n, (j, 1)))
+        return alg.mul(e, barred(n, j)) if sign < 0 else e
 
     ok = True
     for n in (2, 3):
-        B1 = alg.gen_elem(alg.GEN_B, n, params)
-        F1 = alg.gen_elem(("F", 1), n, params)
+        B1 = alg.gen_elem(alg.GEN_B, n)
+        F1 = alg.gen_elem(("F", 1), n)
         for k in range(1, n + 1):
             for sign in (1, -1):
-                tbar = tee_barred(n, n, k, sign)
+                tbar = tee_barred(n, k, sign)
                 for j in range(1, n):
-                    Tj = alg.gen_elem(("T", j), n, params)
-                    Ej = alg.gen_elem(("E", j), n, params)
-                    lhs = alg.mul(tbar, Tj, params)
+                    Tj = alg.gen_elem(("T", j), n)
+                    Ej = alg.gen_elem(("E", j), n)
+                    lhs = alg.mul(tbar, Tj)
                     if j < k - 1:
-                        rhs = alg.mul(Tj, tbar, params)
+                        rhs = alg.mul(Tj, tbar)
                     elif j == k - 1:
                         if sign < 0:
-                            rhs = tee_barred(n, n, k - 1, -1) + alg.mul(tbar, Ej, params).scaled(qu)
+                            rhs = tee_barred(n, k - 1, -1) + alg.mul(tbar, Ej).scaled(qu)
                         else:
-                            rhs = tee_barred(n, n, k - 1, 1)
+                            rhs = tee_barred(n, k - 1, 1)
                     elif j == k:
                         if sign < 0:
-                            rhs = tee_barred(n, n, k + 1, -1)
+                            rhs = tee_barred(n, k + 1, -1)
                         else:
-                            rhs = tee_barred(n, n, k + 1, 1) + alg.mul(tbar, Ej, params).scaled(qu)
+                            rhs = tee_barred(n, k + 1, 1) + alg.mul(tbar, Ej).scaled(qu)
                     else:
-                        rhs = alg.mul(alg.gen_elem(("T", j - 1), n, params), tbar, params)
+                        rhs = alg.mul(alg.gen_elem(("T", j - 1), n), tbar)
                     ok &= lhs == rhs
-                lhs = alg.mul(tbar, B1, params)
+                lhs = alg.mul(tbar, B1)
                 if k == 1:
                     if sign > 0:
-                        rhs = tee_barred(n, n, 1, -1)
+                        rhs = tee_barred(n, 1, -1)
                     else:
-                        rhs = tee_barred(n, n, 1, 1) + alg.mul(tbar, F1, params).scaled(qv)
+                        rhs = tee_barred(n, 1, 1) + alg.mul(tbar, F1).scaled(qv)
                 else:
-                    rhs = alg.mul(B1, tbar, params)
+                    rhs = alg.mul(B1, tbar)
                 ok &= lhs == rhs
     out.append(_rec("rewriting", "barred-block-shift", ok))
 
     ok = True
     for n in (2, 3):
-        cb = alg.get_cbasis(n, params)
-        B1 = alg.gen_elem(alg.GEN_B, n, params)
-        F1 = alg.gen_elem(("F", 1), n, params)
+        cb = alg.get_cbasis(n)
+        B1 = alg.gen_elem(alg.GEN_B, n)
+        F1 = alg.gen_elem(("F", 1), n)
         for k in range(1, n + 1):
             for sign in (1, -1):
                 tee = cb.tee_elem(n, (k, sign))
                 for j in range(1, n):
-                    Tj = alg.gen_elem(("T", j), n, params)
-                    Ej = alg.gen_elem(("E", j), n, params)
-                    lhs = alg.mul(tee, Tj, params)
+                    Tj = alg.gen_elem(("T", j), n)
+                    Ej = alg.gen_elem(("E", j), n)
+                    lhs = alg.mul(tee, Tj)
                     if j < k - 1:
-                        rhs = alg.mul(Tj, tee, params)
+                        rhs = alg.mul(Tj, tee)
                     elif j == k - 1:
                         rhs = cb.tee_elem(n, (k - 1, sign))
                     elif j == k:
-                        rhs = cb.tee_elem(n, (k + 1, sign)) + alg.mul(tee, Ej, params).scaled(qu)
+                        rhs = cb.tee_elem(n, (k + 1, sign)) + alg.mul(tee, Ej).scaled(qu)
                     else:
-                        rhs = alg.mul(alg.gen_elem(("T", j - 1), n, params), tee, params)
+                        rhs = alg.mul(alg.gen_elem(("T", j - 1), n), tee)
                     ok &= lhs == rhs
-                lhs = alg.mul(tee, B1, params)
+                lhs = alg.mul(tee, B1)
                 if k == 1:
                     rhs = cb.tee_elem(n, (1, -sign)) if sign > 0 else (
-                        cb.tee_elem(n, (1, 1)) + alg.mul(tee, F1, params).scaled(qv))
+                        cb.tee_elem(n, (1, 1)) + alg.mul(tee, F1).scaled(qv))
                     ok &= lhs == rhs
                 elif sign > 0:
-                    ok &= lhs == alg.mul(B1, tee, params)
+                    ok &= lhs == alg.mul(B1, tee)
                 else:
-                    chain = alg.word_product(n, [("T-", i) for i in range(1, k - 1)], params)
+                    chain = alg.word_product(n, alg.inverse_gens(alg.block_gens(k - 1, (1, 1))))
                     e1k = alg.ef_elem(parts.join_set(parts.singletons(n), (1, k)))
-                    alpha = alg.mul_many([B1, chain, cb.tee_elem(n, (1, -1)), e1k], params) - \
-                        alg.mul_many([chain, cb.tee_elem(n, (1, -1)), B1, e1k], params)
-                    ok &= lhs == alg.mul(B1, tee, params) + alpha.scaled(qu)
+                    alpha = alg.mul_many([B1, chain, cb.tee_elem(n, (1, -1)), e1k]) - \
+                        alg.mul_many([chain, cb.tee_elem(n, (1, -1)), B1, e1k])
+                    ok &= lhs == alg.mul(B1, tee) + alpha.scaled(qu)
     out.append(_rec("rewriting", "plain-block-shift", ok))
 
     ok_rest = True
     for n in (2, 3):
-        cb = alg.get_cbasis(n, params)
+        cb = alg.get_cbasis(n)
         for k in range(1, n):
-            Tk = alg.gen_elem(("T", k), n, params)
-            lhs = alg.mul_many([Tk, cb.bk_elem(k), cb.bk_elem(k + 1)], params)
-            rhs = alg.mul_many([cb.bk_elem(k), Tk, cb.bk_elem(k)], params)
+            Tk = alg.gen_elem(("T", k), n)
+            lhs = alg.mul_many([Tk, cb.bk_elem(k), cb.bk_elem(k + 1)])
+            rhs = alg.mul_many([cb.bk_elem(k), Tk, cb.bk_elem(k)])
             ok_rest &= lhs == rhs
         for k in range(2, n + 1):
             for j in range(1, k):
-                lhs = alg.mul(cb.tee_elem(k, (j, -1)), cb.bk_elem(k), params)
-                rhs = alg.mul(cb.bk_elem(k - 1), cb.tee_elem(k, (j, -1)), params)
+                lhs = alg.mul(cb.tee_elem(k, (j, -1)), cb.bk_elem(k))
+                rhs = alg.mul(cb.bk_elem(k - 1), cb.tee_elem(k, (j, -1)))
                 ok_rest &= lhs == rhs
     out.append(_rec("rewriting", "loop-block-exchange", ok_rest))
 
@@ -327,42 +324,29 @@ def rewriting_suite(params: alg.RingParams = alg.SYMBOLIC) -> list[dict]:
             wd = cox.random_signed_perm(rng, n)
             I = parts.random_partition(rng, n)
             tw = alg.tw_elem(n, wd)
-            tw_inv = alg.word_product(
-                n,
-                [(("B-",) if letter == cox.R_LETTER else ("T-", letter[1]))
-                 for letter in reversed(cox.reduced_word(wd))],
-                params,
-            )
-            lhs = alg.mul_many([tw, alg.ef_elem(I), tw_inv], params)
+            tw_inv = alg.word_product(n, alg.inverse_gens(alg.gen_word(wd)))
+            lhs = alg.mul_many([tw, alg.ef_elem(I), tw_inv])
             ok_act &= lhs == alg.ef_elem(parts.apply_perm(cox.eta(wd), I))
     out.append(_rec("rewriting", "word-conjugates-ties", ok_act))
 
     ok_cn = True
     for n in (2, 3):
-        cb = alg.get_cbasis(n, params)
+        cb = alg.get_cbasis(n)
         for _ in range(15):
             ms = tuple((rng.randint(1, k), rng.choice((1, -1))) for k in range(1, n + 1))
             I = parts.random_partition(rng, n)
             v = cb.prefix(ms)
-            gens = []
-            for k in range(n, 0, -1):
-                j, sign = ms[k - 1]
-                if sign < 0:
-                    # (T_{k-1}..T_j B_j)^-1 = B_j^-1 T_j^-1 .. T_{k-1}^-1
-                    gens.extend([("T", i) for i in range(j - 1, 0, -1)])
-                    gens.append(alg.GEN_B_INV)
-                    gens.extend([("T-", i) for i in range(1, j)])
-                gens.extend([("T-", i) for i in range(j, k)])
-            v_inv = alg.word_product(n, gens, params)
-            assert alg.mul(v, v_inv, params) == alg.unit(n)
+            gens = [g for k, code in enumerate(ms, start=1) for g in alg.block_gens(k, code)]
+            v_inv = alg.word_product(n, alg.inverse_gens(gens))
+            assert alg.mul(v, v_inv) == alg.unit(n)
             word_perm = cox.from_blocks(ms)
-            lhs = alg.mul_many([v, alg.ef_elem(I), v_inv], params)
+            lhs = alg.mul_many([v, alg.ef_elem(I), v_inv])
             ok_cn &= lhs == alg.ef_elem(parts.apply_perm(cox.eta(word_perm), I))
     out.append(_rec("rewriting", "descriptor-conjugates-ties", ok_cn))
     return out
 
 
-def oracle_suite(n_max: int, pairs: int, seed: int, params: alg.RingParams = alg.SYMBOLIC) -> list[dict]:
+def oracle_suite(n_max: int, pairs: int, seed: int) -> list[dict]:
     rng = random.Random(seed)
     out = []
     for n in range(1, n_max + 1):
@@ -371,15 +355,15 @@ def oracle_suite(n_max: int, pairs: int, seed: int, params: alg.RingParams = alg
             a = random_basis_elem(rng, n)
             b = random_basis_elem(rng, n)
             vec = rep.basis_vector(n, rep.random_multi_index(rng, n))
-            lhs = rep.apply_elem(vec, alg.mul(a, b, params), params)
-            rhs = rep.apply_elem(rep.apply_elem(vec, a, params), b, params)
+            lhs = rep.apply_elem(vec, alg.mul(a, b))
+            rhs = rep.apply_elem(rep.apply_elem(vec, a), b)
             ok &= lhs == rhs
         out.append(_rec("oracle", f"representation-homomorphism[n={n}]", ok, f"{pairs} pairs"))
     ok_assoc = True
     for n in range(1, n_max + 1):
         for _ in range(max(10, pairs // 10)):
             a, b, c = (random_basis_elem(rng, n) for _ in range(3))
-            ok_assoc &= alg.mul(alg.mul(a, b, params), c, params) == alg.mul(a, alg.mul(b, c, params), params)
+            ok_assoc &= alg.mul(alg.mul(a, b), c) == alg.mul(a, alg.mul(b, c))
     out.append(_rec("oracle", "associativity", ok_assoc))
     return out
 

@@ -311,27 +311,25 @@ def apply_side(vec: TensorVector, side: list, params: RingParams) -> TensorVecto
     return TensorVector.sum_of(vec.n, ((image(word), coeff) for coeff, word in side))
 
 
-def check_relations(
-    n: int,
-    params: RingParams = SYMBOLIC,
-    sample: int = 500,
-    seed: int = 0,
-) -> list[dict]:
+RELATION_SAMPLE = 500  # seeded basis vectors drawn when the space is larger
+
+
+def check_relations(n: int, params: RingParams = SYMBOLIC, seed: int = 0) -> list[dict]:
     """Verify every defining relation on basis vectors of V^{⊗n}.
 
     Uses all standard basis vectors when the space is small, otherwise a
-    seeded random sample of at least ``sample`` of them.  Returns one record
+    seeded random sample of ``RELATION_SAMPLE`` of them.  Returns one record
     per relation: {"relation", "index", "status"}.
     """
     total = (2 * n * (n + 1)) ** n
-    if total <= sample:
+    if total <= RELATION_SAMPLE:
         vectors = [basis_vector(n, idx) for idx in all_multi_indices(n)]
     else:
         import random
 
         rng = random.Random(seed)
         vectors = [
-            basis_vector(n, random_multi_index(rng, n)) for _ in range(sample)
+            basis_vector(n, random_multi_index(rng, n)) for _ in range(RELATION_SAMPLE)
         ]
     report = []
     for name, sides in defining_relations(n, params):

@@ -30,15 +30,14 @@ w throughout (only u, v are ever specialized, via ``RingParams``).
 
 from __future__ import annotations
 
-from .coeff import LaurentPoly, ZERO, var
+from .coeff import ONE, LaurentPoly, ZERO, var
 from .coxeter import identity
-from .partitions import remove, singletons, tau
+from .partitions import join_set, remove, singletons, tau
 from .algebra import (
     AlgebraElement,
     RingParams,
     SYMBOLIC,
     ef_elem,
-    gen_elem,
     get_cbasis,
     mul,
 )
@@ -71,31 +70,27 @@ def theta(e: AlgebraElement, params: RingParams = SYMBOLIC) -> AlgebraElement:
                     params,
                 ), c * Z
                 continue
-            tied = I.parent[k] != k  # the top strand is tied iff its block is nontrivial
-            if sign > 0:
-                yield prev.expansion(rest, remove(I, k)), (c * X if tied else c)
+            p = I.parent[k]  # the smallest strand tied to k; k itself when untied
+            if sign < 0 and 0 < p < k:  # a loop tied to moving strands only migrates
+                yield mul(prev.prefix(rest), _migrated_loop(I, k, p, prev, params), params), c
                 continue
-            if not tied:
-                yield prev.expansion(rest, remove(I, k)), c * Y
-                continue
-            mates = [i for i in range(k) if I.parent[i] == I.parent[k]]
-            if 0 in mates:
-                yield prev.expansion(rest, remove(I, k)), c * W
-                continue
-            yield mul(prev.prefix(rest), _migrated_loop(I, k, min(mates), prev, params), params), c
+            tied = p != k
+            factor = (X if tied else ONE) if sign > 0 else (W if tied else Y)
+            yield prev.expansion(rest, remove(I, k)), (c if factor is ONE else c * factor)
 
     return AlgebraElement.sum_of(k - 1, pieces())
 
 
 def _migrated_loop(I, k: int, j: int, prev, params: RingParams) -> AlgebraElement:
-    """(x B_j (1 - F_j) + w F_j) EF_{tau_{k,j}(I)} over k-1 strands."""
-    ef = ef_elem(tau(I, k, j))
+    """(x B_j (1 - F_j) + w F_j) EF_{tau_{k,j}(I)} over k-1 strands, with
+    F_j EF_J = EF_{J v {0, j}}."""
+    J = tau(I, k, j)
+    fj_ef = ef_elem(join_set(J, (0, j)))
     bj = prev.bk_elem(j)
-    fj = gen_elem(("F", j), k - 1, params)
     return AlgebraElement.sum_of(k - 1, (
-        (mul(bj, ef, params), X),
-        (mul(mul(bj, fj, params), ef, params), -X),
-        (mul(fj, ef, params), W),
+        (mul(bj, ef_elem(J), params), X),
+        (mul(bj, fj_ef, params), -X),
+        (fj_ef, W),
     ))
 
 

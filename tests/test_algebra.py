@@ -1,5 +1,6 @@
 """Algebra kernel: generators, the six-case product, both bases, coordinates."""
 
+import itertools
 import math
 import random
 
@@ -171,6 +172,12 @@ def test_tie_absorbs_axis_tie():
     f1 = alg.gen_elem(("F", 1), n)
     f2 = alg.gen_elem(("F", 2), n)
     assert alg.mul(e, f1) == alg.mul(f1, f2) == alg.mul(e, f2)
+    # F_j EF_J = EF_{J v {0, j}}, the form the migrated loop of theta uses
+    for n in (2, 3):
+        for J in P.enumerate_partitions(n):
+            for j in range(1, n + 1):
+                fj = alg.gen_elem(("F", j), n)
+                assert alg.mul(fj, alg.ef_elem(J)) == alg.ef_elem(P.join_set(J, (0, j)))
 
 
 def test_axis_tie_conjugation_chain():
@@ -221,6 +228,49 @@ def test_descriptor_basis_small():
     b2_mul = cb.bk_elem(2)
     assert b2_descriptor == b2_mul
     assert len(b2_mul.terms) == 2
+
+
+def test_block_elements_match_hand_written_products():
+    for n in range(1, 5):
+        cb = alg.CBasis(n)
+        T = lambda i: alg.gen_elem(("T", i), n)
+        for k in range(1, n + 1):
+            for j, sign in cox.block_choices(k):
+                factors = [alg.unit(n)] + [T(i) for i in range(k - 1, j - 1, -1)]
+                if sign < 0:
+                    factors += [T(i) for i in range(j - 1, 0, -1)]
+                    factors.append(alg.gen_elem(alg.GEN_B, n))
+                    factors += [alg.gen_elem(("T-", i), n) for i in range(1, j)]
+                assert cb.tee_elem(k, (j, sign)) == alg.mul_many(factors), (n, k, j, sign)
+            assert cb.bk_elem(k) == cb.tee_elem(k, (k, -1))
+
+
+def test_prefix_leads_with_its_window():
+    # unitriangular: the pair (no ties, from_blocks(ms)) with coefficient one,
+    # every other term on a strictly shorter window
+    for n in range(1, 5):
+        cb = alg.CBasis(n)
+        for ms in itertools.product(*map(cox.block_choices, range(1, n + 1))):
+            terms = dict(cb.prefix(ms).terms)
+            w = cox.from_blocks(ms)
+            assert terms.pop((P.singletons(n), w)) == ONE, ms
+            assert all(cox.length(v) < cox.length(w) for (_, v) in terms), ms
+
+
+def test_inverse_words_cancel():
+    rng = random.Random(16)
+    for n in range(1, 5):
+        kinds = ["B", "B-"] + (["T", "T-"] if n > 1 else [])
+        for _ in range(12):
+            gens = []
+            for _ in range(rng.randint(0, 6)):
+                kind = rng.choice(kinds)
+                gens.append((kind,) if kind[0] == "B" else (kind, rng.randint(1, n - 1)))
+            word = tuple(gens) + alg.inverse_gens(gens)
+            assert alg.word_product(n, word) == alg.unit(n), gens
+            vec = rep.basis_vector(n, rep.random_multi_index(rng, n))
+            assert rep.apply_side(vec, [(ONE, word)], alg.SYMBOLIC) == vec, gens
+            assert alg.inverse_gens(alg.inverse_gens(gens)) == tuple(gens)
 
 
 def test_prefix_extends_without_recursion():
