@@ -16,7 +16,9 @@ terms: idempotents conjugate leftward through w and merge into I (relabelled
 by |w(.)|), a braid letter either extends w or, on a descent, splits into the
 shorter word plus a quadratic correction.  Word independence of the result is
 guaranteed by the braid relations (Matsumoto), so any reduced word may drive
-the letter loop.
+the letter loop.  There is no alphabet translation: ``coxeter`` names its
+letters after these generators, so ``coxeter.reduced_word(w)`` is already the
+generator word of T_w.
 
 The exact primitives are defined here once and shared with the tensor
 oracle: ``_acc`` (add a coefficient into a sparse key -> coefficient map),
@@ -24,7 +26,8 @@ oracle: ``_acc`` (add a coefficient into a sparse key -> coefficient map),
 tensor vectors, whose ``sum_of`` accumulates every sum of scaled terms into
 one map through ``_acc``), ``split_inverse`` (T_i^-1 and B^-1 by the
 quadratic relations), ``inverse_gens`` (the generator word of an inverse),
-``block_gens`` (the generator word of a descriptor block) and
+``block_gens`` (the generator word of a descriptor block, and the only
+spelling of one) and
 ``reduce_row`` (one step of exact sparse row reduction over the rationals).
 
 The module also maintains a second, descriptor-indexed basis used by the
@@ -49,7 +52,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .coeff import ONE, LaurentPoly, const, var
 from .coxeter import (
-    R_LETTER,
+    GEN_B,
     Window,
     apply_letter,
     block_choices,
@@ -77,8 +80,8 @@ BasisPair = tuple  # (SetPartition0, Window)
 
 @dataclass(frozen=True)
 class RingParams:
-    """The two quadratic constants (and the T-eigenvalue used by the tensor
-    module), symbolically by default, or specialized at a rational point.
+    """The two quadratic constants, symbolically by default, or specialized
+    at a rational point.
 
     ``key`` identifies the parameter choice in expansion caches.
     """
@@ -86,14 +89,12 @@ class RingParams:
     key: str
     qu: LaurentPoly  # coefficient of E_i T_i in T_i^2 - 1
     qv: LaurentPoly  # coefficient of F_1 B in B^2 - 1
-    tu: LaurentPoly  # the variable u itself (tensor action needs it alone)
 
 
 SYMBOLIC = RingParams(
     "symbolic",
     qu=var("u") - var("u", -1),
     qv=var("v") - var("v", -1),
-    tu=var("u"),
 )
 
 
@@ -107,13 +108,11 @@ def specialized_params(u0, v0) -> RingParams:
         f"u={u0};v={v0}",
         qu=const(u0 - 1 / u0),
         qv=const(v0 - 1 / v0),
-        tu=const(u0),
     )
 
 
 # -- generators ----------------------------------------------------------------
 
-GEN_B = ("B",)
 GEN_B_INV = ("B-",)
 
 
@@ -327,26 +326,15 @@ def mul_gen(e: AlgebraElement, g: tuple, params: RingParams = SYMBOLIC) -> Algeb
         j = g[1]
         for (I, w), c in e.terms.items():
             _acc(out, (join_set(I, (0, abs(w[j - 1]))), w), c)
-    elif kind == "T":
-        i = g[1]
-        letter = ("s", i)
+    else:  # T_i reads the window at slots i, i+1; B reads the axis 0 and slot 1
+        i, q = (g[1], params.qu) if kind == "T" else (0, params.qv)
         for (I, w), c in e.terms.items():
-            _acc(out, (I, apply_letter(w, letter)), c)
-            descent = w[i - 1] > w[i]
-            if descent or tie is not None:
-                key = (join_set(I, (abs(w[i - 1]), abs(w[i]))), w)
-                if descent:  # T_w T_i = T_{w s_i} + qu E.. T_w
-                    _acc(out, key, c * params.qu)
-                if tie is not None:
-                    _acc(out, key, c * tie)
-    else:  # "B"
-        for (I, w), c in e.terms.items():
-            _acc(out, (I, apply_letter(w, R_LETTER)), c)
-            descent = w[0] < 0
-            if descent or tie is not None:
-                key = (join_set(I, (0, abs(w[0]))), w)
-                if descent:  # T_w B = T_{w r} + qv F.. T_w
-                    _acc(out, key, c * params.qv)
+            _acc(out, (I, apply_letter(w, g)), c)
+            a, b = w[i - 1] if i else 0, w[i]
+            if a > b or tie is not None:
+                key = (join_set(I, (abs(a), abs(b))), w)
+                if a > b:  # on a descent T_w g = T_{w g} + q (E_i or F_1) T_w
+                    _acc(out, key, c * q)
                 if tie is not None:
                     _acc(out, key, c * tie)
     return AlgebraElement._raw(e.n, out)
@@ -374,12 +362,6 @@ def block_gens(k: int, code: tuple) -> tuple:
     return gens
 
 
-@lru_cache(maxsize=None)
-def gen_word(w: Window) -> tuple:
-    """The generators B and T_i spelling ``reduced_word(w)``, left to right."""
-    return tuple(GEN_B if letter == R_LETTER else ("T", letter[1]) for letter in reduced_word(w))
-
-
 def word_product(n: int, gens: Iterable[tuple], params: RingParams = SYMBOLIC) -> AlgebraElement:
     """Multiply out a sequence of generators, left to right."""
     e = unit(n)
@@ -405,7 +387,7 @@ def mul(a: AlgebraElement, b: AlgebraElement, params: RingParams = SYMBOLIC) -> 
             K = join(I, apply_perm(eta(w), J))
             _acc(tmp, (K, w), c if q is ONE else c * q)
         cur = AlgebraElement._raw(n, tmp)
-        for g in gen_word(v):
+        for g in reduced_word(v):
             cur = mul_gen(cur, g, params)
         for key, c in cur.terms.items():
             _acc(total, key, c)
@@ -448,7 +430,6 @@ class CBasis:
     def __init__(self, n: int, params: RingParams = SYMBOLIC):
         self.n = n
         self.params = params
-        self._tee: dict[tuple, AlgebraElement] = {}
         self._prefix: dict[tuple, AlgebraElement] = {(): unit(n)}
         self._expansion: dict[tuple, AlgebraElement] = {}
 
@@ -459,13 +440,9 @@ class CBasis:
     def tee_elem(self, k: int, code: tuple) -> AlgebraElement:
         """The level-k block element for a descriptor entry (j, sign):
         sign +1 gives T_{k-1}..T_j (1 if j = k), sign -1 gives
-        T_{k-1}..T_j B_j (B_k if j = k)."""
-        key = (k,) + code
-        cached = self._tee.get(key)
-        if cached is None:
-            cached = word_product(self.n, block_gens(k, code), self.params)
-            self._tee[key] = cached
-        return cached
+        T_{k-1}..T_j B_j (B_k if j = k).  The identity blocks below level k
+        spell the empty word, so this is a cached prefix."""
+        return self.prefix(tuple((i, 1) for i in range(1, k)) + (code,))
 
     def prefix(self, ms: tuple) -> AlgebraElement:
         """The product m_1 ... m_len(ms) as an element.

@@ -5,7 +5,11 @@ The hyperoctahedral group on n letters consists of the permutations w of
 bare tuple (w(1), ..., w(n)); the group is generated by
 
 - ``r``   = the sign change on the first letter, window (-1, 2, ..., n), and
-- ``s_i`` = the adjacent transposition of i and i+1.
+- ``s_i`` = the adjacent transposition of i and i+1,
+
+spelled as the algebra generators they lift to, ``("B",)`` (``GEN_B``) and
+``("T", i)``; the inverse letters ``("B-",)`` and ``("T-", i)`` have the same
+images, so ``word_to_perm`` also projects a word with inverse letters.
 
 The product ``w_mul(a, b)`` is function composition a∘b (b acts on the point
 first), so a word read left to right multiplies left to right: the word
@@ -19,8 +23,8 @@ is the window of w_1 ∘ ... ∘ w_{k-1} with the entry ±k inserted at slot j.
 ``normal_form`` returns the blocks as the m-word of (j, sign) pairs, one per
 level k = 1..n: (k, +1) is the empty block, (k, -1) is r_k, and (j, ±1) with
 j < k is s_{k-1}..s_j followed, when the sign is negative, by r_j.
-``from_blocks`` inverts it.  The concatenated block words are reduced, so
-their total letter count is the Coxeter length.
+``from_blocks`` inverts it.  The block words (``algebra.block_gens``) are
+reduced when concatenated, so their letter count is the Coxeter length.
 
 >>> length((-1, 2)), length((1, -2))
 (1, 3)
@@ -38,9 +42,9 @@ from itertools import product
 from typing import Iterator, Sequence
 
 Window = tuple  # tuple[int, ...], window notation
-Letter = tuple  # ("s", i) or ("r",)
+Letter = tuple  # ("T", i) or ("B",); ("T-", i) and ("B-",) act the same
 
-R_LETTER = ("r",)
+GEN_B = ("B",)
 
 
 def identity(n: int) -> Window:
@@ -121,17 +125,17 @@ def right_descents(w: Window) -> set:
     """
     out = set()
     if w and w[0] < 0:
-        out.add(R_LETTER)
+        out.add(GEN_B)
     for i in range(1, len(w)):
         if w[i - 1] > w[i]:
-            out.add(("s", i))
+            out.add(("T", i))
     return out
 
 
 def apply_letter(w: Window, letter: Letter) -> Window:
     """w∘g for a single generator g (swap two window entries, or negate the
-    first)."""
-    if letter == R_LETTER:
+    first); an inverse letter acts as its positive one."""
+    if letter[0] in ("B", "B-"):
         return (-w[0],) + w[1:]
     i = letter[1]
     return w[: i - 1] + (w[i], w[i - 1]) + w[i + 1:]
@@ -173,17 +177,7 @@ def from_blocks(mword: Sequence[tuple]) -> Window:
     return tuple(win)
 
 
-def block_word(k: int, choice: tuple) -> tuple:
-    """A reduced word for the level-k block (j, sign), letters left to right."""
-    j, sign = choice
-    word: list[Letter] = [("s", i) for i in range(k - 1, j - 1, -1)]
-    if sign < 0:
-        word.extend(("s", i) for i in range(j - 1, 0, -1))
-        word.append(R_LETTER)
-        word.extend(("s", i) for i in range(1, j))
-    return tuple(word)
-
-
+@lru_cache(maxsize=None)
 def reduced_word(w: Window) -> tuple:
     """Some reduced word for w, produced by stripping right descents.
 
@@ -196,7 +190,7 @@ def reduced_word(w: Window) -> tuple:
         descents = right_descents(current)
         if not descents:
             break
-        letter = min(descents)  # deterministic choice: ("r",) before ("s", i)
+        letter = min(descents)  # deterministic choice: ("B",) before ("T", i)
         rev.append(letter)
         current = apply_letter(current, letter)
     assert current == identity(len(w))

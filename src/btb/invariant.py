@@ -16,8 +16,8 @@ and a value is stored as
 with numer a Laurent polynomial and both denominator exponents nonnegative.
 Powers of z shared between numer and the denominator are cancelled (z is a
 monomial, no gcd machinery); no cancellation is attempted against the L
-factor, so equality is decided by cross-multiplication, never by normal
-forms.
+factor, so equality is decided by cross-multiplication (once the powers both
+sides share are cancelled), never by normal forms.
 
 The trace of a word is computed on the smallest braid that carries it
 (``word_trace``).  Strands above the highest one a letter touches are
@@ -179,12 +179,17 @@ def invariant_eq(p: InvariantValue, q: InvariantValue) -> bool:
 
     Parities are compared first (s is not a ring element, so values of
     different parity agree only when both vanish); then the two fractions are
-    cross-multiplied.
+    cross-multiplied.  The powers of z and of L that both denominators share
+    cancel first, so only the difference of each power is multiplied out.
     """
     if p.is_zero() or q.is_zero():
         return p.is_zero() and q.is_zero()
     if p.s_parity != q.s_parity:
         return False
-    left = p.numer * var("z", q.z_pow) * L_NUMER ** q.l_pow
-    right = q.numer * var("z", p.z_pow) * L_NUMER ** p.l_pow
+    left, right = p.numer, q.numer
+    for base, dp, dq in ((var("z"), p.z_pow, q.z_pow), (L_NUMER, p.l_pow, q.l_pow)):
+        if dq > dp:
+            left = left * base ** (dq - dp)
+        elif dp > dq:
+            right = right * base ** (dp - dq)
     return left == right

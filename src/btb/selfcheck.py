@@ -148,7 +148,7 @@ def coxeter_suite(seed: int, n_bfs: int = 3) -> list[dict]:
     out = []
     ok_len = ok_desc = True
     for n in range(1, n_bfs + 1):
-        gens = [cox.R_LETTER] + [("s", i) for i in range(1, n)]
+        gens = [cox.GEN_B] + [("T", i) for i in range(1, n)]
         dist = {cox.identity(n): 0}
         frontier = [cox.identity(n)]
         while frontier:
@@ -174,9 +174,7 @@ def coxeter_suite(seed: int, n_bfs: int = 3) -> list[dict]:
         for wd in cox.enumerate_group(n):
             seen.add(wd)
             ms = cox.normal_form(wd)
-            word = []
-            for k, choice in enumerate(ms, start=1):
-                word.extend(cox.block_word(k, choice))
+            word = [g for k, code in enumerate(ms, start=1) for g in alg.block_gens(k, code)]
             ok_nf &= cox.word_to_perm(n, word) == wd and cox.from_blocks(ms) == wd
             ok_nf &= len(word) == cox.length(wd)
             rw = cox.reduced_word(wd)
@@ -324,7 +322,7 @@ def rewriting_suite() -> list[dict]:
             wd = cox.random_signed_perm(rng, n)
             I = parts.random_partition(rng, n)
             tw = alg.tw_elem(n, wd)
-            tw_inv = alg.word_product(n, alg.inverse_gens(alg.gen_word(wd)))
+            tw_inv = alg.word_product(n, alg.inverse_gens(cox.reduced_word(wd)))
             lhs = alg.mul_many([tw, alg.ef_elem(I), tw_inv])
             ok_act &= lhs == alg.ef_elem(parts.apply_perm(cox.eta(wd), I))
     out.append(_rec("rewriting", "word-conjugates-ties", ok_act))

@@ -16,8 +16,9 @@ Local rules, acting on one or two tensor factors and extended linearly:
   the correction (u - u^-1) * (unchanged) added when the left index exceeds
   the right at equal ranks.
 
-Vectors are sparse maps from multi-indices to coefficients; operators are
-never materialized as matrices.  The sparse linear combination
+The oracle runs at the symbolic u, v (``algebra.SYMBOLIC``) only.  Vectors
+are sparse maps from multi-indices to coefficients; operators are never
+materialized as matrices.  The sparse linear combination
 (``SparseVector``, whose ``sum_of`` builds every sum of scaled vectors), the
 sparse accumulate, the expansion of the inverse generators and the exact row
 reduction of the independence certificate are the ones defined in
@@ -27,25 +28,26 @@ reduction of the independence certificate are the ones defined in
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .coeff import ONE, LaurentPoly
-from .coxeter import Window, enumerate_group
+from .coeff import ONE, LaurentPoly, var
+from .coxeter import Window, enumerate_group, reduced_word
 from .partitions import SetPartition0, enumerate_partitions, refines
 from .algebra import (
     AlgebraElement,
-    RingParams,
     SYMBOLIC,
     SparseVector,
     _acc,
     _check_gen,
-    gen_word,
     reduce_row as _reduce_row,
     split_inverse,
 )
 
 MultiIndex = tuple  # tuple of (i, r) pairs, one per tensor factor
+
+U = var("u")  # the T-eigenvalue on two identical factors
 
 
 class TensorVector(SparseVector):
@@ -95,11 +97,11 @@ def random_multi_index(rng, n: int) -> MultiIndex:
 
 # -- generator actions ---------------------------------------------------------
 
-def apply_gen(vec: TensorVector, g: tuple, params: RingParams = SYMBOLIC) -> TensorVector:
+def apply_gen(vec: TensorVector, g: tuple) -> TensorVector:
     """Right action of one generator; an inverse adds its tie term
     (``algebra.split_inverse``) in the same pass."""
     _check_gen(g, vec.n)
-    g, tie = split_inverse(g, params)
+    g, tie = split_inverse(g, SYMBOLIC)
     kind = g[0]
     out: dict[MultiIndex, LaurentPoly] = {}
     if kind == "E":
@@ -122,11 +124,11 @@ def apply_gen(vec: TensorVector, g: tuple, params: RingParams = SYMBOLIC) -> Ten
                 _acc(out, swapped, c)
                 continue
             if a == b:
-                _acc(out, idx, c * params.tu)
+                _acc(out, idx, c * U)
             else:
                 _acc(out, swapped, c)
             if a > b:
-                _acc(out, idx, c * params.qu)
+                _acc(out, idx, c * SYMBOLIC.qu)
             if tie is not None:  # E_i fixes equal ranks
                 _acc(out, idx, c * tie)
     else:  # "B"
@@ -135,16 +137,14 @@ def apply_gen(vec: TensorVector, g: tuple, params: RingParams = SYMBOLIC) -> Ten
             _acc(out, ((-a, r),) + idx[1:], c)
             if r == 0:
                 if a < 0:
-                    _acc(out, idx, c * params.qv)
+                    _acc(out, idx, c * SYMBOLIC.qv)
                 if tie is not None:  # F_1 fixes rank 0
                     _acc(out, idx, c * tie)
     return TensorVector._raw(vec.n, out)
 
 
-def apply_word(vec: TensorVector, w: Window, params: RingParams = SYMBOLIC) -> TensorVector:
-    for g in gen_word(w):
-        vec = apply_gen(vec, g, params)
-    return vec
+def apply_word(vec: TensorVector, w: Window) -> TensorVector:
+    return reduce(apply_gen, reduced_word(w), vec)
 
 
 def ef_filter(vec: TensorVector, I: SetPartition0) -> TensorVector:
@@ -171,14 +171,14 @@ def ef_filter(vec: TensorVector, I: SetPartition0) -> TensorVector:
     return TensorVector._raw(vec.n, out)
 
 
-def apply_elem(vec: TensorVector, e: AlgebraElement, params: RingParams = SYMBOLIC) -> TensorVector:
+def apply_elem(vec: TensorVector, e: AlgebraElement) -> TensorVector:
     """Right action of an algebra element: idempotent projection per term,
     then the letters of the group part, linearly extended."""
     if e.n != vec.n:
         raise ValueError("element and vector strand counts differ")
     return TensorVector.sum_of(
         vec.n,
-        ((apply_word(ef_filter(vec, I), w, params), c) for (I, w), c in e.terms.items()),
+        ((apply_word(ef_filter(vec, I), w), c) for (I, w), c in e.terms.items()),
     )
 
 
@@ -218,7 +218,7 @@ def predicted_word_image(I: SetPartition0, w: Window) -> MultiIndex:
 
 # -- relation checking -----------------------------------------------------------
 
-def defining_relations(n: int, params: RingParams = SYMBOLIC) -> list:
+def defining_relations(n: int) -> list:
     """The full defining-relation catalog at every legal index.
 
     Each entry is (name, sides) where every side is a list of
@@ -232,7 +232,7 @@ def defining_relations(n: int, params: RingParams = SYMBOLIC) -> list:
     one = ONE
     if n >= 1:
         rels.append(
-            ("quad-B", [[(one, (("B",), ("B",)))], [(one, ()), (params.qv, (("F", 1), ("B",)))]])
+            ("quad-B", [[(one, (("B",), ("B",)))], [(one, ()), (SYMBOLIC.qv, (("F", 1), ("B",)))]])
         )
         for j in range(1, n + 1):
             plain(f"idem-F[{j}]", (("F", j), ("F", j)), (("F", j),))
@@ -243,7 +243,7 @@ def defining_relations(n: int, params: RingParams = SYMBOLIC) -> list:
                 f"quad-T[{i}]",
                 [
                     [(one, (("T", i), ("T", i)))],
-                    [(one, ()), (params.qu, (("E", i), ("T", i)))],
+                    [(one, ()), (SYMBOLIC.qu, (("E", i), ("T", i)))],
                 ],
             )
         )
@@ -301,20 +301,14 @@ def defining_relations(n: int, params: RingParams = SYMBOLIC) -> list:
     return rels
 
 
-def apply_side(vec: TensorVector, side: list, params: RingParams) -> TensorVector:
-    def image(word: tuple) -> TensorVector:
-        cur = vec
-        for g in word:
-            cur = apply_gen(cur, g, params)
-        return cur
-
-    return TensorVector.sum_of(vec.n, ((image(word), coeff) for coeff, word in side))
+def apply_side(vec: TensorVector, side: list) -> TensorVector:
+    return TensorVector.sum_of(vec.n, ((reduce(apply_gen, word, vec), coeff) for coeff, word in side))
 
 
 RELATION_SAMPLE = 500  # seeded basis vectors drawn when the space is larger
 
 
-def check_relations(n: int, params: RingParams = SYMBOLIC, seed: int = 0) -> list[dict]:
+def check_relations(n: int, seed: int = 0) -> list[dict]:
     """Verify every defining relation on basis vectors of V^{⊗n}.
 
     Uses all standard basis vectors when the space is small, otherwise a
@@ -332,10 +326,10 @@ def check_relations(n: int, params: RingParams = SYMBOLIC, seed: int = 0) -> lis
             basis_vector(n, random_multi_index(rng, n)) for _ in range(RELATION_SAMPLE)
         ]
     report = []
-    for name, sides in defining_relations(n, params):
+    for name, sides in defining_relations(n):
         status = "ok"
         for vec in vectors:
-            images = [apply_side(vec, side, params) for side in sides]
+            images = [apply_side(vec, side) for side in sides]
             if any(img != images[0] for img in images[1:]):
                 status = "fail"
                 break

@@ -44,6 +44,13 @@ def test_compare_equal_and_distinct(capsys):
     assert code == 1 and out.strip() == "distinct"
 
 
+def test_compare_conjugates_on_many_strands(capsys):
+    # equal strand counts share every z and L power, which cancel unexpanded
+    code, out, _ = run(capsys, "compare", "--strands-a", "1000", "--word-a", "r s1 s2 s1'",
+                       "--strands-b", "1000", "--word-b", "s1' r s1 s2")
+    assert code == 0 and out.strip() == "equal"
+
+
 def test_parse_errors_exit_2(capsys):
     code, _, err = run(capsys, "invariant", "--strands", "2", "--word", "s5")
     assert code == 2 and "out of range" in err

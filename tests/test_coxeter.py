@@ -7,10 +7,11 @@ import random
 import pytest
 
 from btb import coxeter as cox
+from btb.algebra import block_gens
 
 
 def bfs_distances(n):
-    gens = [cox.R_LETTER] + [("s", i) for i in range(1, n)]
+    gens = [cox.GEN_B] + [("T", i) for i in range(1, n)]
     dist = {cox.identity(n): 0}
     frontier = [cox.identity(n)]
     while frontier:
@@ -53,7 +54,7 @@ def test_length_examples():
 def test_length_and_descents_match_bfs(n):
     dist = bfs_distances(n)
     assert len(dist) == 2 ** n * math.factorial(n)
-    gens = [cox.R_LETTER] + [("s", i) for i in range(1, n)]
+    gens = [cox.GEN_B] + [("T", i) for i in range(1, n)]
     for w, d in dist.items():
         assert cox.length(w) == d
         for g in gens:
@@ -62,8 +63,8 @@ def test_length_and_descents_match_bfs(n):
 
 def test_descent_examples():
     assert cox.right_descents(cox.identity(2)) == set()
-    assert cox.right_descents((-1, 2)) == {cox.R_LETTER}
-    assert cox.right_descents((2, 1)) == {("s", 1)}
+    assert cox.right_descents((-1, 2)) == {cox.GEN_B}
+    assert cox.right_descents((2, 1)) == {("T", 1)}
 
 
 def test_normal_form_examples():
@@ -83,7 +84,7 @@ def test_normal_form_roundtrip(n):
         seen.add(w)
         word = []
         for k, choice in enumerate(cox.normal_form(w), start=1):
-            word.extend(cox.block_word(k, choice))
+            word.extend(block_gens(k, choice))
         assert cox.word_to_perm(n, word) == w
         assert cox.from_blocks(cox.normal_form(w)) == w
         assert len(word) == cox.length(w)
@@ -94,7 +95,7 @@ def test_normal_form_roundtrip(n):
     # the enumeration order is the m-word order, level 1 outermost
     spelled = [
         cox.word_to_perm(n, [letter for k, choice in enumerate(ms, start=1)
-                             for letter in cox.block_word(k, choice)])
+                             for letter in block_gens(k, choice)])
         for ms in itertools.product(*(cox.block_choices(k) for k in range(1, n + 1)))
     ]
     assert list(cox.enumerate_group(n)) == spelled
@@ -119,7 +120,7 @@ def test_sigma_shift_matches_composition():
     for n in (3, 4):
         for j in range(2, n + 1):
             for k in range(1, j):
-                word = [("s", i) for i in range(k, j)]
+                word = [("T", i) for i in range(k, j)]
                 assert cox.word_to_perm(n, word) == cox.sigma_shift_inv(n, j, k)
 
 

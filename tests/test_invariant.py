@@ -1,13 +1,15 @@
 """Closed-braid invariant: golden values, Markov moves, canonical form."""
 
 import random
+from fractions import Fraction
 
 from btb import algebra as alg
 from btb import coxeter as cox
 from btb import invariant as inv
+from btb import partitions as P
 from btb.cli import main
-from btb.coeff import ONE, ZERO, var
-from btb.trace import markov_trace
+from btb.coeff import ONE, ZERO, LaurentPoly, var
+from btb.trace import markov_trace, theta
 
 QU = alg.SYMBOLIC.qu
 QV = alg.SYMBOLIC.qv
@@ -109,6 +111,65 @@ def test_cross_multiplied_equality():
     assert inv.invariant_eq(a, b)
     assert inv.invariant_eq(a, c)
     assert not inv.invariant_eq(a, inv.InvariantValue(0, z, 0, 1))
+
+
+def _cross_multiplied_eq(p, q):
+    """The comparison without cancellation: both full cross products."""
+    if p.is_zero() or q.is_zero():
+        return p.is_zero() and q.is_zero()
+    if p.s_parity != q.s_parity:
+        return False
+    left = p.numer * var("z", q.z_pow) * inv.L_NUMER ** q.l_pow
+    right = q.numer * var("z", p.z_pow) * inv.L_NUMER ** p.l_pow
+    return left == right
+
+
+def test_invariant_eq_matches_cross_multiplication_randomized():
+    rng = random.Random(23)
+    numers = [ZERO, ONE, var("u") - var("y", -1), inv.L_NUMER, Z * inv.L_NUMER ** 2,
+              LaurentPoly.monomial(Fraction(-3, 2), [1, 0, 2, 0, -1, 0])]
+
+    def random_value():
+        return inv.InvariantValue(rng.randint(0, 1), rng.choice(numers), rng.randint(0, 3), rng.randint(0, 3))
+
+    verdicts = set()
+    for _ in range(400):
+        a = random_value()
+        if rng.random() < 0.5:
+            # the same value with extra denominator powers, or another parity
+            dz, dl = rng.randint(0, 2), rng.randint(0, 2)
+            parity = a.s_parity ^ (rng.random() < 0.2)
+            b = inv.InvariantValue(parity, a.numer * Z ** dz * inv.L_NUMER ** dl, a.z_pow + dz, a.l_pow + dl)
+        else:
+            b = random_value()
+        verdict = inv.invariant_eq(a, b)
+        assert verdict == _cross_multiplied_eq(a, b) == inv.invariant_eq(b, a), (a, b)
+        verdicts.add((verdict, a.z_pow != b.z_pow or a.l_pow != b.l_pow))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_specialized_params_match_symbolic_evaluation():
+    # computing at u0, v0 equals evaluating the symbolic result at u0, v0
+    rng = random.Random(31)
+
+    def rational():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+
+    def values(e, point):
+        return {key: val for key, c in e.terms.items() if (val := c.evaluate(point))}
+
+    for _ in range(4):
+        point = tuple(rational() for _ in range(6))
+        params = alg.specialized_params(point[0], point[1])
+        for _ in range(6):
+            n = rng.randint(1, 3)
+            w = random_word(rng, n, rng.randint(1, 6))
+            assert inv.word_trace(w, params).evaluate(point) == inv.word_trace(w).evaluate(point), w
+        n = 3
+        a, b = (alg.AlgebraElement(n, {(P.random_partition(rng, n), cox.random_signed_perm(rng, n)): ONE})
+                for _ in range(2))
+        assert values(alg.mul(a, b, params), point) == values(alg.mul(a, b), point)
+        assert values(theta(a, params), point) == values(theta(a), point)
 
 
 def test_negative_writhe_words():
