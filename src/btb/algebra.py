@@ -424,7 +424,8 @@ class CBasis:
 
     A block is the generator word ``block_gens`` spells; its element, every
     prefix m_1 ... m_k and every expansion are built from those words.  All
-    cached elements are immutable; build once, read forever.
+    cached elements are immutable; build once, read forever.  ``traces``
+    maps a descriptor to its Markov trace; ``trace.markov_trace`` fills it.
     """
 
     def __init__(self, n: int, params: RingParams = SYMBOLIC):
@@ -432,6 +433,7 @@ class CBasis:
         self.params = params
         self._prefix: dict[tuple, AlgebraElement] = {(): unit(n)}
         self._expansion: dict[tuple, AlgebraElement] = {}
+        self.traces: dict[tuple, LaurentPoly] = {}
 
     def bk_elem(self, k: int) -> AlgebraElement:
         """B_k = T_{k-1}..T_1 B T_1^-1..T_{k-1}^-1 as an element."""

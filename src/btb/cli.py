@@ -27,7 +27,6 @@ from .coxeter import parse_braid_word
 from .partitions import bell_number
 from .algebra import basis_pairs
 from .invariant import delta_b, invariant_eq, word_trace
-from .selfcheck import DEFAULT_SEED, run_selfcheck
 
 
 def main(argv=None) -> int:
@@ -126,6 +125,10 @@ def _cmd_dims(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
+    # imported here so that the other commands do not load the suites and
+    # the tensor oracle
+    from .selfcheck import DEFAULT_SEED, run_selfcheck
+
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("BTB_SEED", DEFAULT_SEED))

@@ -6,7 +6,11 @@ variables u, v, x, y, z, w over arbitrary-precision rationals.  There is no
 floating point anywhere and no tolerance; equality is equality.
 
 A polynomial is a sparse map from exponent vectors (6-tuples of ints, one slot
-per variable in the fixed order u, v, x, y, z, w) to nonzero Fractions.  The
+per variable in the fixed order u, v, x, y, z, w) to nonzero rationals, each an
+int or a Fraction: an integral value is always stored as an int, so symbolic
+computations (where every coefficient is an integer) never touch Fraction
+arithmetic, and Fraction(3) == 3 with equal hashes keeps equality, hashing and
+the text and JSON forms independent of the representation.  The
 variables x, y, w are formally allowed negative exponents so that a single
 type covers the whole package; the trace layer asserts it never actually
 produces them.  Serialization orders terms lexicographically on the exponent
@@ -32,8 +36,23 @@ ZERO_EXP = (0, 0, 0, 0, 0, 0)
 Exponents = tuple  # 6-tuple of ints
 
 
+def _rational(value) -> int | Fraction:
+    """An exact rational: an int when integral, otherwise a Fraction."""
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _demote(terms: dict) -> dict:
+    """Store the integral Fraction values of ``terms`` as ints, in place."""
+    for exps, c in terms.items():
+        if c.__class__ is Fraction and c.denominator == 1:
+            terms[exps] = c.numerator
+    return terms
+
+
 class LaurentPoly:
-    """A sparse Laurent polynomial with Fraction coefficients.
+    """A sparse Laurent polynomial with rational (int or Fraction)
+    coefficients.
 
     The term dict never stores a zero coefficient.  Values are immutable by
     convention: all operations return fresh objects and nothing mutates
@@ -46,7 +65,7 @@ class LaurentPoly:
         cleaned: dict[Exponents, Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
-                coeff = Fraction(coeff)
+                coeff = _rational(coeff)
                 if coeff:
                     cleaned[tuple(exps)] = coeff
         self.terms = cleaned
@@ -66,12 +85,12 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, value) -> "LaurentPoly":
-        value = Fraction(value)
+        value = _rational(value)
         return cls._raw({ZERO_EXP: value} if value else {})
 
     @classmethod
     def monomial(cls, coeff, exps: Iterable[int]) -> "LaurentPoly":
-        coeff = Fraction(coeff)
+        coeff = _rational(coeff)
         return cls._raw({tuple(exps): coeff} if coeff else {})
 
     # -- ring operations ---------------------------------------------------
@@ -104,7 +123,7 @@ class LaurentPoly:
                     out[exps] = acc
                 else:
                     del out[exps]
-        return LaurentPoly._raw(out)
+        return LaurentPoly._raw(_demote(out))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -113,10 +132,10 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
+            other = _rational(other)
             if not other:
                 return LaurentPoly._raw({})
-            return LaurentPoly._raw({e: c * other for e, c in self.terms.items()})
+            return LaurentPoly._raw(_demote({e: c * other for e, c in self.terms.items()}))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out: dict[Exponents, Fraction] = {}
@@ -133,7 +152,7 @@ class LaurentPoly:
                         out[key] = acc
                     else:
                         del out[key]
-        return LaurentPoly._raw(out)
+        return LaurentPoly._raw(_demote(out))
 
     __rmul__ = __mul__
 
@@ -142,7 +161,7 @@ class LaurentPoly:
             if len(self.terms) != 1:
                 raise ValueError("negative powers are defined for monomials only")
             (exps, coeff), = self.terms.items()
-            inv = LaurentPoly._raw({tuple(-e for e in exps): 1 / coeff})
+            inv = LaurentPoly.monomial(Fraction(1) / coeff, (-e for e in exps))
             return inv ** (-power)
         result = LaurentPoly.constant(1)
         base = self

@@ -26,13 +26,22 @@ At k = 1 the table degenerates to the seed values: 1 -> 1, F_1 -> x,
 B_1 -> y, B_1 F_1 -> w.  Composing all levels, top strand first, yields the
 Markov trace; the four trace parameters stay the symbolic variables x, y, z,
 w throughout (only u, v are ever specialized, via ``RingParams``).
+
+Every rule above sends one descriptor d to one element over k-1 strands times
+one factor (``_peel``), and the trace is linear, so tr(d) = factor *
+tr(element) never has to be computed twice.  ``markov_trace`` therefore
+expresses its argument in descriptor coordinates and sums c * tr(d) over
+them, reading tr(d) from a memo on the descriptor's ``CBasis`` (so it is
+bound to one parameter choice, like every other cached expansion).  A miss
+is filled level by level, top strand first and then back up, without
+recursion, so a fill as deep as the strand count costs no stack.  The table
+is keyed by descriptor, never by word: different words share it.
 """
 
 from __future__ import annotations
 
 from .coeff import ONE, LaurentPoly, ZERO, var
-from .coxeter import identity
-from .partitions import join_set, remove, singletons, tau
+from .partitions import join_set, remove, tau
 from .algebra import (
     AlgebraElement,
     RingParams,
@@ -56,29 +65,36 @@ def theta(e: AlgebraElement, params: RingParams = SYMBOLIC) -> AlgebraElement:
     k = e.n
     if k < 1:
         raise ValueError("theta needs at least one strand")
-    cb = get_cbasis(k, params)
     prev = get_cbasis(k - 1, params)
 
     def pieces():
-        for (ms, I), c in cb.express(e).items():
-            j, sign = ms[-1]
-            rest = ms[:-1]
-            if j < k:
-                yield mul(
-                    prev.prefix(rest),
-                    mul(prev.tee_elem(k - 1, (j, sign)), ef_elem(tau(I, k, j)), params),
-                    params,
-                ), c * Z
-                continue
-            p = I.parent[k]  # the smallest strand tied to k; k itself when untied
-            if sign < 0 and 0 < p < k:  # a loop tied to moving strands only migrates
-                yield mul(prev.prefix(rest), _migrated_loop(I, k, p, prev, params), params), c
-                continue
-            tied = p != k
-            factor = (X if tied else ONE) if sign > 0 else (W if tied else Y)
-            yield prev.expansion(rest, remove(I, k)), (c if factor is ONE else c * factor)
+        for d, c in get_cbasis(k, params).express(e).items():
+            piece, factor = _peel(prev, d)
+            yield piece, (c if factor is ONE else c * factor)
 
     return AlgebraElement.sum_of(k - 1, pieces())
+
+
+def _peel(prev, d: tuple) -> tuple:
+    """theta of the descriptor d = (ms, I) on k strands, as (element over
+    k-1 strands, factor); ``prev`` is the ``CBasis`` on k-1 strands."""
+    ms, I = d
+    k = prev.n + 1
+    params = prev.params
+    j, sign = ms[-1]
+    rest = ms[:-1]
+    if j < k:
+        return mul(
+            prev.prefix(rest),
+            mul(prev.tee_elem(k - 1, (j, sign)), ef_elem(tau(I, k, j)), params),
+            params,
+        ), Z
+    p = I.parent[k]  # the smallest strand tied to k; k itself when untied
+    if sign < 0 and 0 < p < k:  # a loop tied to moving strands only migrates
+        return mul(prev.prefix(rest), _migrated_loop(I, k, p, prev, params), params), ONE
+    tied = p != k
+    factor = (X if tied else ONE) if sign > 0 else (W if tied else Y)
+    return prev.expansion(rest, remove(I, k)), factor
 
 
 def _migrated_loop(I, k: int, j: int, prev, params: RingParams) -> AlgebraElement:
@@ -95,18 +111,52 @@ def _migrated_loop(I, k: int, j: int, prev, params: RingParams) -> AlgebraElemen
 
 
 def markov_trace(e: AlgebraElement, params: RingParams = SYMBOLIC) -> LaurentPoly:
-    """The scalar trace: peel relative traces from the top strand down.
+    """The scalar trace: the sum of c * tr(d) over the descriptor
+    coordinates of e, with tr(d) peeled from the top strand down once per
+    descriptor and memoized (see the module docstring).
 
     Normalized so the unit maps to 1; linear; symmetric (tr(ab) = tr(ba)) and
     compatible with adding an unused strand - the properties the link
     invariant needs, exercised by the test suite.
     """
-    cur = e
-    while cur.n > 0:
-        cur = theta(cur, params)
-    value = cur.terms.get((singletons(0), identity(0)), ZERO)
+    cb = get_cbasis(e.n, params)
+    coords = cb.express(e)
+    _fill(cb, coords)
+    value = _dot(coords, cb.traces)
     assert all(
         exps[2] >= 0 and exps[3] >= 0 and exps[4] >= 0 and exps[5] >= 0
         for exps in value.terms
     ), "trace produced a negative exponent in a trace parameter"
     return value
+
+
+def _fill(cb, descriptors) -> None:
+    """Memoize tr(d) in ``cb.traces`` for every descriptor d not yet there.
+
+    The descriptors are peeled one level at a time, collecting the missing
+    ones a level below, down to the single descriptor on 0 strands (trace
+    1); the traces are then summed back up, level by level.
+    """
+    levels = []
+    todo = [d for d in descriptors if d not in cb.traces]
+    while todo and cb.n:
+        prev = get_cbasis(cb.n - 1, cb.params)
+        rows = []
+        below: dict = {}
+        for d in todo:
+            piece, factor = _peel(prev, d)
+            coords = prev.express(piece)
+            rows.append((d, factor, coords))
+            below.update((d2, None) for d2 in coords if d2 not in prev.traces)
+        levels.append((cb, prev, rows))
+        cb, todo = prev, list(below)
+    for d in todo:
+        cb.traces[d] = ONE
+    for cb, prev, rows in reversed(levels):
+        for d, factor, coords in rows:
+            cb.traces[d] = factor * _dot(coords, prev.traces)
+
+
+def _dot(coords: dict, traces: dict) -> LaurentPoly:
+    """The sum of c * traces[d] over the (d, c) items of ``coords``."""
+    return sum((c * traces[d] for d, c in coords.items()), ZERO)

@@ -5,6 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from btb import algebra as alg
+from btb import coxeter as cox
+from btb import invariant as inv
+from btb import partitions as P
+from btb import trace as tr
 from btb.coeff import LaurentPoly, ONE, ZERO, const, parse_poly, random_point, var
 
 U = var("u")
@@ -124,3 +129,55 @@ def test_parse_rejects_garbage():
 def test_negative_power_of_general_poly_rejected():
     with pytest.raises(ValueError):
         (U + V) ** -1
+
+
+def assert_exact(poly):
+    """Every coefficient is an int or a non-integral Fraction, never a float."""
+    for c in poly.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (poly, c)
+
+
+def test_coefficient_types():
+    half = const(Fraction(1, 2))
+    assert_exact(half * 2)
+    assert_exact(half + half)
+    assert_exact((half * U) * (const(2) * V))
+    assert_exact(U * Fraction(3, 3))
+    for p in ((const(3) * U) ** -2, (-U) ** -1, (half * V) ** -3, const(4) ** 0):
+        assert_exact(p)
+    assert (const(3) * U) ** -2 == const(Fraction(1, 9)) * U ** -2
+    assert_exact(LaurentPoly({(0,) * 6: Fraction(6, 3), (1,) * 6: Fraction(2, 4)}))
+    assert_exact(parse_poly("4/2 * u - 1/3"))
+    # evaluation stays a Fraction even on integer coefficients
+    pt = (Fraction(2), Fraction(3), 1, 1, 1, 1)
+    for p in (ZERO, const(3), U * V + ONE):
+        assert type(p.evaluate(pt)) is Fraction
+    assert const(3).to_obj() == [{"exps": [0] * 6, "num": "3", "den": "1"}]
+
+    rng = random.Random(6)
+    specialized = alg.specialized_params(Fraction(5, 3), Fraction(-7, 2))
+    for params in (alg.SYMBOLIC, specialized):
+        for n in (1, 2, 3):
+            for _ in range(4):
+                a, b = (alg.AlgebraElement(n, {(P.random_partition(rng, n), cox.random_signed_perm(rng, n)): ONE})
+                        for _ in range(2))
+                ab = alg.mul(a, b, params)
+                for e in (ab, tr.theta(ab, params)):
+                    for c in e.terms.values():
+                        assert_exact(c)
+                assert_exact(tr.markov_trace(ab, params))
+            cb = alg.get_cbasis(n, params)
+            for d in list(alg.descriptor_pairs(n))[:40]:
+                for c in cb.expansion(*d).terms.values():
+                    assert_exact(c)
+            for c in cb.traces.values():
+                assert_exact(c)
+    assert_exact(inv.delta_b(cox.parse_braid_word("r s1' s2 r' s1", 3)).numer)
+    # the exact row reduction works on Fraction values from evaluate
+    point = tuple(Fraction(k + 2, 3) for k in range(6))
+    pivots = {}
+    cb = alg.get_cbasis(2)
+    for d in alg.descriptor_pairs(2):
+        row = {pair: v for pair, c in cb.expansion(*d).terms.items() if (v := c.evaluate(point))}
+        alg.reduce_row({(-cox.length(w), I.parent, w): v for (I, w), v in row.items()}, pivots)
+    assert pivots and all(type(v) in (int, Fraction) for piv in pivots.values() for v in piv.values())

@@ -1,6 +1,7 @@
 """Closed-braid invariant: golden values, Markov moves, canonical form."""
 
 import random
+import sys
 from fractions import Fraction
 
 from btb import algebra as alg
@@ -234,3 +235,19 @@ def test_wide_closure_cli_exits_0(capsys):
     assert code == 0 and captured.err == ""
     assert captured.out == "s * (-u^-1 z + 1 + u z) / (z^550 (z - (u - u^-1) x)^549)\n"
     assert inv.word_trace(word("s1099 s1099", 1100)) == markov_trace(inv.pi_natural(word("s1 s1", 2)))
+
+
+def test_deep_trace_fill_needs_no_recursion():
+    # the trace memo of a 60-strand word is filled 60 levels deep; with 40
+    # frames of headroom, even one frame per level is too many
+    w = word("r " + " ".join(f"s{i}" for i in range(1, 60)) + " s59", 60)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        value = inv.delta_b(w)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert not value.is_zero()

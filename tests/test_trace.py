@@ -15,7 +15,7 @@ from btb import algebra as alg
 from btb import coxeter as cox
 from btb import partitions as P
 from btb import trace as tr
-from btb.coeff import ONE
+from btb.coeff import ONE, ZERO, const, var
 
 X, Y, Z, W = tr.TRACE_PARAMS
 QU = alg.SYMBOLIC.qu
@@ -179,3 +179,30 @@ def test_trace_values_have_no_negative_parameter_powers():
 def test_theta_rejects_scalars():
     with pytest.raises(ValueError):
         tr.theta(alg.unit(0))
+
+
+def _trace_by_theta(e, params):
+    """The Markov trace without the memo: theta peeled down to 0 strands."""
+    cur = e
+    while cur.n > 0:
+        cur = tr.theta(cur, params)
+    return cur.terms.get((P.singletons(0), cox.identity(0)), ZERO)
+
+
+def test_markov_trace_memo_matches_theta_chain():
+    # the per-descriptor memo against the relative traces composed level by
+    # level; the specialized point is used by no other test, so its memo
+    # starts empty and is filled here
+    rng = random.Random(37)
+    for params in (alg.SYMBOLIC, alg.specialized_params(Fraction(13, 6), Fraction(-11, 5))):
+        for n in (1, 2, 3, 4):
+            for _ in range(6):
+                e = alg.AlgebraElement.sum_of(n, (
+                    (rand_basis_elem(rng, n),
+                     const(Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3))) * var("u", rng.randint(-1, 1)))
+                    for _ in range(3)
+                ))
+                value = tr.markov_trace(e, params)
+                assert value == _trace_by_theta(e, params)
+                assert tr.markov_trace(e, params) == value  # read back from the memo
+        assert alg.get_cbasis(4, params).traces
